@@ -45,38 +45,47 @@ fn bench_fel(c: &mut Criterion) {
 
 /// FEL windowed drain: pushes interleaved with `pop_below`, the access
 /// pattern of the kernel's process phase (events cluster near the window).
+/// Two shapes, both backends: 128 pushes per window (a busy LP, whose
+/// re-primes build rungs) and 2-3 per window (the dumbbell's per-LP
+/// handful, which the ladder's small re-prime path sorts straight into
+/// its bottom tier).
 fn bench_fel_windowed(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fel_windowed_8k");
-    for fel in [FelImpl::Ladder, FelImpl::BinaryHeap] {
-        group.bench_function(fel.name(), |b| {
-            b.iter(|| {
-                let mut q: Fel<u64> = Fel::with_impl(fel);
-                let mut rng = Rng::new(7);
-                let mut seq = 0u64;
-                let mut sum = 0u64;
-                for window in 0..64u64 {
-                    let base = window * 1_000;
-                    for _ in 0..128 {
-                        seq += 1;
-                        let ts = base + rng.next_below(4_000);
-                        q.push(Event {
-                            key: EventKey::external(Time(ts), seq),
-                            node: NodeId(0),
-                            payload: ts,
-                        });
+    for (name, windows, per_window) in [
+        ("fel_windowed_8k", 64u64, &[128u64][..]),
+        ("fel_windowed_tiny", 4_096, &[2, 3][..]),
+    ] {
+        let mut group = c.benchmark_group(name);
+        for fel in [FelImpl::Ladder, FelImpl::BinaryHeap] {
+            group.bench_function(fel.name(), |b| {
+                b.iter(|| {
+                    let mut q: Fel<u64> = Fel::with_impl(fel);
+                    let mut rng = Rng::new(7);
+                    let mut seq = 0u64;
+                    let mut sum = 0u64;
+                    for window in 0..windows {
+                        let base = window * 1_000;
+                        for _ in 0..per_window[window as usize % per_window.len()] {
+                            seq += 1;
+                            let ts = base + rng.next_below(4_000);
+                            q.push(Event {
+                                key: EventKey::external(Time(ts), seq),
+                                node: NodeId(0),
+                                payload: ts,
+                            });
+                        }
+                        while let Some(ev) = q.pop_below(Time(base + 1_000)) {
+                            sum = sum.wrapping_add(ev.payload);
+                        }
                     }
-                    while let Some(ev) = q.pop_below(Time(base + 1_000)) {
+                    while let Some(ev) = q.pop() {
                         sum = sum.wrapping_add(ev.payload);
                     }
-                }
-                while let Some(ev) = q.pop() {
-                    sum = sum.wrapping_add(ev.payload);
-                }
-                black_box(sum)
-            })
-        });
+                    black_box(sum)
+                })
+            });
+        }
+        group.finish();
     }
-    group.finish();
 }
 
 /// Algorithm 1 over the k=8 fat-tree graph.

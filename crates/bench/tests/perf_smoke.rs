@@ -71,11 +71,12 @@ fn median(samples: &mut [f64]) -> f64 {
 /// the incast workload. Samples are interleaved so machine drift hits
 /// both arms equally; medians defeat one-off outliers.
 ///
-/// Measured status (see `BENCH_kernels.json`): the ladder wins clearly on
-/// the sequential kernel (~1.3x) and sits at parity on the multi-threaded
-/// Unison kernel, whose per-LP FELs are small enough that the heap's
-/// shallow sifts are already cheap. The 0.85 threshold guards against a
-/// real regression without flaking on run-to-run noise around parity.
+/// Measured status: the ladder wins clearly on the sequential kernel
+/// (~1.3x) and, since small re-primes sort straight into its bottom tier
+/// and its buffer pool is bounded, also leads on the multi-threaded Unison
+/// kernel, whose per-LP FELs re-prime a handful of events per round. The
+/// 0.85 threshold guards against a real regression without flaking on
+/// run-to-run noise.
 #[test]
 #[ignore = "wall-clock tripwire; run explicitly in the CI perf-smoke job"]
 fn ladder_not_slower_than_heap_on_incast() {

@@ -14,9 +14,10 @@
 //!   time buckets; a promoted bucket is either sorted into a small bottom
 //!   tier (popped O(1) from the back) or — when too large to sort cheaply —
 //!   subdivided into a finer child rung; far-future events sit in an
-//!   unsorted overflow tier until the ladder re-primes. Amortized O(1) per
-//!   event on both the kernels' windowed access pattern and the sequential
-//!   kernel's push-one/pop-one pattern.
+//!   unsorted overflow tier until the ladder re-primes. A re-prime of at
+//!   most `LADDER_THRES` events skips the rungs and sorts straight into the
+//!   bottom tier. Amortized O(1) per event on both the kernels' windowed
+//!   access pattern and the sequential kernel's push-one/pop-one pattern.
 //!
 //! Both implementations pop in exactly the same order — the total
 //! [`EventKey`] order — so simulation results are bit-identical regardless
@@ -34,7 +35,8 @@ use crate::time::Time;
 pub enum FelImpl {
     /// The reference binary min-heap.
     BinaryHeap,
-    /// The two-tier ladder/calendar queue (default).
+    /// The multi-rung ladder queue (default): sorted bottom tier, rung
+    /// stack of time buckets, unsorted far-future overflow.
     #[default]
     Ladder,
 }
@@ -81,7 +83,9 @@ const LADDER_BUCKETS: usize = 32;
 
 /// Promotion threshold: a bucket no larger than this is sorted straight
 /// into the bottom tier; a larger one is split into a finer child rung
-/// first (unless its width is already 1 ns, the resolution floor).
+/// first (unless its width is already 1 ns, the resolution floor). The
+/// same bound decides whether a re-prime builds a rung at all, and when a
+/// rung-less near tier is folded back into one.
 const LADDER_THRES: usize = 64;
 
 /// Depth cap on the rung stack — a backstop against adversarial
@@ -146,9 +150,10 @@ impl<P> Rung<P> {
 ///
 /// 1. The near tier (`bottom` ∪ `stage`) holds exactly the stored events
 ///    with `ts < rungs.last().threshold()` (or all events below
-///    `top_start` when no rungs exist); `bottom` is sorted descending by
-///    key and popped from the back, `stage` holds unsorted recent pushes
-///    with `stage_min` caching their minimum key.
+///    `top_start` when no rungs exist — the state a small re-prime
+///    leaves); `bottom` is sorted descending by key and popped from the
+///    back, `stage` holds unsorted recent pushes with `stage_min` caching
+///    their minimum key.
 /// 2. Within a rung, buckets at or after `cur` cover ascending disjoint
 ///    time ranges; buckets before `cur` are empty. Each rung's remaining
 ///    range starts at or after the end of every deeper rung's range.
@@ -165,13 +170,26 @@ impl<P> Rung<P> {
 /// bucket — e.g. the sequential kernel's single global FEL where one rung
 /// would hold tens of thousands of events — is subdivided into a child
 /// rung in O(len) instead of being re-sorted on every near-tier insert.
+/// The same bound gives the small path (Tang & Goh's bottom rule): a
+/// re-prime of at most `LADDER_THRES` events — a fine-grained LP's
+/// per-round handful — is sorted straight into the bottom with the
+/// horizon at its maximum + 1, never paying for a rung. Its mirror is the
+/// fold-back rule: a rung-less near tier that outgrows `LADDER_THRES` is
+/// redistributed into a rung at its next flush, so a small re-prime whose
+/// horizon sits far out (an RTO timer) cannot leave an unbounded bottom
+/// that is re-sorted on every flush.
+///
+/// Every operation that takes bucket buffers from `pool` hands back as
+/// many, so the retained buffers are bounded by the deepest rung stack
+/// (`LADDER_BUCKETS` per rung, plus the tier buffers), not by run length.
 struct Ladder<P> {
     /// Imminent events, sorted descending by key; pop from the back.
     bottom: Vec<Event<P>>,
     /// Unsorted pushes below every rung threshold, merged into `bottom`
     /// lazily — only when the next pop would otherwise return a later key.
     /// Keeps batch inserts O(1) per event; the merge sort is bounded
-    /// because the split rule keeps `bottom` near `LADDER_THRES`.
+    /// because the split and fold-back rules keep `bottom` near
+    /// `LADDER_THRES`.
     stage: Vec<Event<P>>,
     /// Minimum key in `stage`; meaningless when `stage` is empty.
     stage_min: EventKey,
@@ -309,8 +327,8 @@ impl<P> Ladder<P> {
             if !self.stage.is_empty() {
                 // Staged events are all at/after `bound`, and every rung
                 // and overflow event is at/after the deepest rung
-                // threshold, which lies above the staged range — nothing
-                // below `bound` exists.
+                // threshold (`top_start` when no rung exists), which lies
+                // above the staged range — nothing below `bound` exists.
                 return None;
             }
             if self.len == 0 || self.settle() >= bound {
@@ -319,25 +337,53 @@ impl<P> Ladder<P> {
             // The next bucket starts below `bound`, so it may hold a
             // qualifying event: promote it (the cursor work `settle` just
             // did makes the nested call inside `refill` O(1)) and re-check.
-            self.refill();
+            // A small re-prime inside `settle` already filled the bottom.
+            if self.bottom.is_empty() {
+                self.refill();
+            }
         }
     }
 
     /// Merges the staged pushes into the sorted bottom. Appending then
     /// re-sorting keeps the allocation and lets pdqsort exploit the
     /// existing descending run; the split rule bounds `bottom`, so the
-    /// sort stays small.
+    /// sort stays small. With no rung to bound it (after a small
+    /// re-prime), a near tier past `LADDER_THRES` is folded back into a
+    /// rung instead, leaving `bottom` empty for the caller to refill.
     fn flush_stage(&mut self) {
+        if self.rungs.is_empty() && self.bottom.len() + self.stage.len() > LADDER_THRES {
+            self.fold_back();
+            return;
+        }
         self.bottom.append(&mut self.stage);
         self.bottom
             .sort_unstable_by_key(|e| std::cmp::Reverse(e.key));
+    }
+
+    /// The fold-back rule: redistributes the whole rung-less near tier
+    /// into a fresh rung spanning from its minimum up to the re-prime
+    /// horizon, which every near event lies below (invariant 1). The
+    /// overflow is untouched and `top_start` keeps its value. A flush
+    /// only happens once the staged minimum precedes the bottom head, so
+    /// `stage_min` is the near tier's minimum.
+    fn fold_back(&mut self) {
+        debug_assert!(self.rungs.is_empty() && !self.stage.is_empty());
+        debug_assert!(self.bottom.last().is_none_or(|e| self.stage_min < e.key));
+        let start = self.stage_min.ts;
+        let width = (self.top_start.0 - 1 - start.0) / LADDER_BUCKETS as u64 + 1;
+        let mut events = self.pool.pop().unwrap_or_default();
+        events.append(&mut self.bottom);
+        events.append(&mut self.stage);
+        self.spawn_rung(start, width, events);
     }
 
     /// Retires spent rungs, re-primes from the overflow when the whole
     /// rung stack is spent, and advances the deepest live rung's cursor to
     /// its first non-empty bucket. Returns that bucket's lower time bound —
     /// the earliest timestamp any tier below the (empty) near tier can
-    /// still hold. Caller guarantees the near tier is empty and `len > 0`.
+    /// still hold — or, when a small re-prime filled `bottom`, the
+    /// timestamp of its head. Caller guarantees the near tier is empty and
+    /// `len > 0`.
     fn settle(&mut self) -> Time {
         loop {
             // Retire spent rungs (recycling their bucket buffers).
@@ -353,6 +399,9 @@ impl<P> Ladder<P> {
                 // `len > 0` with every rung spent: the events must be in
                 // the overflow tier.
                 self.reprime();
+                if let Some(ev) = self.bottom.last() {
+                    return ev.key.ts;
+                }
                 continue;
             };
             // INVARIANT: `count > 0` implies a non-empty bucket at or
@@ -372,6 +421,10 @@ impl<P> Ladder<P> {
         debug_assert!(self.bottom.is_empty() && self.stage.is_empty());
         loop {
             self.settle();
+            if !self.bottom.is_empty() {
+                // A small re-prime sorted the overflow straight in.
+                return;
+            }
             let depth = self.rungs.len();
             let ri = depth - 1;
             let replacement = self.pool.pop().unwrap_or_default();
@@ -429,8 +482,13 @@ impl<P> Ladder<P> {
     /// redistributes every overflow event into a fresh rung 0. Nothing
     /// that is currently stored re-overflows, so a far outlier is
     /// rescanned at most once per re-prime horizon.
+    ///
+    /// Small path: at most `LADDER_THRES` events are sorted straight into
+    /// the empty bottom (the two buffers swap roles) with the horizon at
+    /// their maximum + 1 — unless that maximum is `Time::MAX`, whose
+    /// horizon would not fit.
     fn reprime(&mut self) {
-        debug_assert!(self.rungs.is_empty() && self.bottom.is_empty());
+        debug_assert!(self.rungs.is_empty() && self.bottom.is_empty() && self.stage.is_empty());
         debug_assert!(!self.overflow.is_empty());
         let mut omin = Time::MAX;
         let mut omax = Time::ZERO;
@@ -438,13 +496,22 @@ impl<P> Ladder<P> {
             omin = omin.min(ev.key.ts);
             omax = omax.max(ev.key.ts);
         }
+        self.overflow_min = Time::MAX;
+        if self.overflow.len() <= LADDER_THRES && omax < Time::MAX {
+            self.top_start = Time(omax.0 + 1);
+            std::mem::swap(&mut self.bottom, &mut self.overflow);
+            self.bottom
+                .sort_unstable_by_key(|e| std::cmp::Reverse(e.key));
+            return;
+        }
         let width = ((omax.0 - omin.0) / LADDER_BUCKETS as u64) + 1;
         self.top_start = Time(
             omin.0
                 .saturating_add(width.saturating_mul(LADDER_BUCKETS as u64)),
         );
-        let events = std::mem::take(&mut self.overflow);
-        self.overflow_min = Time::MAX;
+        // The overflow keeps a pooled buffer, so the one handed to the rung
+        // (and from there to the pool) is a swap, not a net addition.
+        let events = std::mem::replace(&mut self.overflow, self.pool.pop().unwrap_or_default());
         self.spawn_rung(omin, width, events);
     }
 
@@ -783,6 +850,11 @@ mod tests {
             fel.push(ev(7, 1, 3));
             fel.push(ev(7, 1, 2));
             assert_eq!(fel.pop().unwrap().key.seq, 2);
+            // A tie pushed after the first pop still orders by key; for the
+            // ladder it lands on the last timestamp below the horizon of
+            // the small re-prime that pop performed.
+            fel.push(ev(7, 0, 5));
+            assert_eq!(fel.pop().unwrap().key.sender_lp, LpId(0));
             assert_eq!(fel.pop().unwrap().key.seq, 3);
             assert_eq!(fel.pop().unwrap().key.sender_lp, LpId(2));
         }
@@ -885,6 +957,32 @@ mod tests {
         }
         assert_eq!(fel.pop().unwrap().key.ts, Time(u64::MAX / 2));
         assert!(fel.pop().is_none());
+    }
+
+    /// Retained bucket buffers are bounded by the rung stack, not by run
+    /// length: thousands of push/drain cycles, each forcing a re-prime
+    /// (small or rung-building, by batch size), must not grow the pool.
+    #[test]
+    fn ladder_pool_is_bounded_across_reprimes() {
+        let mut rng = crate::rng::Rng::new(11);
+        let mut l: Ladder<u64> = Ladder::new(0);
+        let mut seq = 0u64;
+        for cycle in 0..10_000u64 {
+            // Every batch lies past the previous horizon, so it lands in
+            // the overflow and the drain must re-prime.
+            let base = cycle * 10_000;
+            for _ in 0..1 + rng.next_below(2 * LADDER_THRES as u64) {
+                l.push(ev(base + rng.next_below(5_000), 0, seq));
+                seq += 1;
+            }
+            while l.pop().is_some() {}
+            assert!(
+                l.pool.len() <= LADDER_BUCKETS * LADDER_MAX_RUNGS + 4,
+                "pool grew to {} buffers after {} cycles",
+                l.pool.len(),
+                cycle + 1
+            );
+        }
     }
 
     #[test]

@@ -58,12 +58,15 @@ fn ident(ev: &Event<u64>) -> (EventKey, u64) {
 }
 
 /// One random step of the differential workload: a selector picks the op,
-/// the remaining tuple slots feed whichever operands it needs.
+/// the remaining tuple slots feed whichever operands it needs. Batches
+/// reach past the ladder's 64-event split threshold, so sequences mix
+/// small re-primes sorted straight into the bottom tier with rung-building
+/// ones and fold-backs of an overgrown rung-less bottom.
 fn arb_op() -> impl Strategy<Value = FelOp> {
     (
-        0u8..5,
+        0u8..6,
         arb_key(),
-        proptest::collection::vec(arb_key(), 0..40),
+        proptest::collection::vec(arb_key(), 0..160),
         0u64..1_200,
         1usize..20,
     )
@@ -76,6 +79,10 @@ fn arb_op() -> impl Strategy<Value = FelOp> {
             2 => FelOp::Extend(batch),
             // Drain everything strictly below a bound.
             3 => FelOp::PopBelow(bound),
+            // A far-future outlier (the RTO-timer shape): a small re-prime
+            // holding it sets a far horizon, so later pushes pile up in
+            // the rung-less bottom until it folds back.
+            4 => FelOp::PushExternal(1_000_000_000 + key.ts.0, key.seq),
             // Pop a few unconditionally.
             _ => FelOp::PopN(n),
         })
@@ -118,12 +125,13 @@ proptest! {
 
     /// Differential suite for the two FEL implementations (DESIGN.md §4.4):
     /// under an arbitrary interleaving of single pushes, bulk `extend`
-    /// batches (external and internal tie-break keys alike), and bounded /
-    /// unbounded pops, the ladder queue must produce the exact pop sequence
-    /// of the binary-heap reference — keys *and* payloads.
+    /// batches (external and internal tie-break keys alike), far-future
+    /// outliers, and bounded / unbounded pops, the ladder queue must
+    /// produce the exact pop sequence of the binary-heap reference — keys
+    /// *and* payloads — across small re-primes, fold-backs and rungs.
     #[test]
     fn ladder_matches_heap_reference(
-        ops in proptest::collection::vec(arb_op(), 0..60)
+        ops in proptest::collection::vec(arb_op(), 0..150)
     ) {
         let mut ladder: Fel<u64> = Fel::with_impl(FelImpl::Ladder);
         let mut heap: Fel<u64> = Fel::with_impl(FelImpl::BinaryHeap);
