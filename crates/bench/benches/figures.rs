@@ -133,7 +133,6 @@ fn bench_fig12_family(c: &mut Criterion) {
                     sched: SchedConfig::default(),
                     metrics: MetricsLevel::Summary,
                     telemetry: Default::default(),
-                    fel: Default::default(),
                     fault: Default::default(),
                 })
                 .unwrap();

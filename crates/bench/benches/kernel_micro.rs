@@ -6,85 +6,75 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use unison_core::{
-    fine_grained_partition, kernel, Event, EventKey, Fel, FelImpl, LinkGraph, NodeId, Rng,
-    RunConfig, SimCtx, SimNode, Time, WorldBuilder,
+    fine_grained_partition, kernel, Event, EventKey, Fel, LinkGraph, NodeId, Rng, RunConfig,
+    SimCtx, SimNode, Time, WorldBuilder,
 };
 
-/// FEL push+pop of a shuffled batch, A/B over both backends (the ladder
-/// queue vs. the binary-heap reference, DESIGN.md §4.4).
+/// FEL push+pop of a shuffled batch (the ladder queue, DESIGN.md §4.4).
 fn bench_fel(c: &mut Criterion) {
     let mut rng = Rng::new(1);
     let mut keys: Vec<u64> = (0..1_000).collect();
     rng.shuffle(&mut keys);
-    let mut group = c.benchmark_group("fel_push_pop_1k");
-    for fel in [FelImpl::Ladder, FelImpl::BinaryHeap] {
-        group.bench_function(fel.name(), |b| {
-            b.iter_batched(
-                || keys.clone(),
-                |keys| {
-                    let mut q: Fel<u64> = Fel::with_impl(fel);
-                    for &k in &keys {
-                        q.push(Event {
-                            key: EventKey::external(Time(k), k),
-                            node: NodeId(0),
-                            payload: k,
-                        });
-                    }
-                    let mut sum = 0u64;
-                    while let Some(ev) = q.pop() {
-                        sum = sum.wrapping_add(ev.payload);
-                    }
-                    black_box(sum)
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    group.finish();
+    c.bench_function("fel_push_pop_1k", |b| {
+        b.iter_batched(
+            || keys.clone(),
+            |keys| {
+                let mut q: Fel<u64> = Fel::new();
+                for &k in &keys {
+                    q.push(Event {
+                        key: EventKey::external(Time(k), k),
+                        node: NodeId(0),
+                        payload: k,
+                    });
+                }
+                let mut sum = 0u64;
+                while let Some(ev) = q.pop() {
+                    sum = sum.wrapping_add(ev.payload);
+                }
+                black_box(sum)
+            },
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 /// FEL windowed drain: pushes interleaved with `pop_below`, the access
 /// pattern of the kernel's process phase (events cluster near the window).
-/// Two shapes, both backends: 128 pushes per window (a busy LP, whose
-/// re-primes build rungs) and 2-3 per window (the dumbbell's per-LP
-/// handful, which the ladder's small re-prime path sorts straight into
-/// its bottom tier).
+/// Two shapes: 128 pushes per window (a busy LP, whose re-primes build
+/// rungs) and 2-3 per window (the dumbbell's per-LP handful, which the
+/// ladder's small re-prime path sorts straight into its bottom tier).
 fn bench_fel_windowed(c: &mut Criterion) {
     for (name, windows, per_window) in [
         ("fel_windowed_8k", 64u64, &[128u64][..]),
         ("fel_windowed_tiny", 4_096, &[2, 3][..]),
     ] {
-        let mut group = c.benchmark_group(name);
-        for fel in [FelImpl::Ladder, FelImpl::BinaryHeap] {
-            group.bench_function(fel.name(), |b| {
-                b.iter(|| {
-                    let mut q: Fel<u64> = Fel::with_impl(fel);
-                    let mut rng = Rng::new(7);
-                    let mut seq = 0u64;
-                    let mut sum = 0u64;
-                    for window in 0..windows {
-                        let base = window * 1_000;
-                        for _ in 0..per_window[window as usize % per_window.len()] {
-                            seq += 1;
-                            let ts = base + rng.next_below(4_000);
-                            q.push(Event {
-                                key: EventKey::external(Time(ts), seq),
-                                node: NodeId(0),
-                                payload: ts,
-                            });
-                        }
-                        while let Some(ev) = q.pop_below(Time(base + 1_000)) {
-                            sum = sum.wrapping_add(ev.payload);
-                        }
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut q: Fel<u64> = Fel::new();
+                let mut rng = Rng::new(7);
+                let mut seq = 0u64;
+                let mut sum = 0u64;
+                for window in 0..windows {
+                    let base = window * 1_000;
+                    for _ in 0..per_window[window as usize % per_window.len()] {
+                        seq += 1;
+                        let ts = base + rng.next_below(4_000);
+                        q.push(Event {
+                            key: EventKey::external(Time(ts), seq),
+                            node: NodeId(0),
+                            payload: ts,
+                        });
                     }
-                    while let Some(ev) = q.pop() {
+                    while let Some(ev) = q.pop_below(Time(base + 1_000)) {
                         sum = sum.wrapping_add(ev.payload);
                     }
-                    black_box(sum)
-                })
-            });
-        }
-        group.finish();
+                }
+                while let Some(ev) = q.pop() {
+                    sum = sum.wrapping_add(ev.payload);
+                }
+                black_box(sum)
+            })
+        });
     }
 }
 
@@ -234,10 +224,6 @@ fn bench_kernels(c: &mut Criterion) {
         ("sequential_10k", RunConfig::sequential()),
         ("unison1_10k", RunConfig::unison(1)),
         ("unison2_10k", RunConfig::unison(2)),
-        (
-            "unison2_10k_heap_fel",
-            RunConfig::unison(2).with_fel(FelImpl::BinaryHeap),
-        ),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {

@@ -43,7 +43,6 @@ fn main() {
                 sched: SchedConfig::default(),
                 metrics: MetricsLevel::Summary,
                 telemetry: Default::default(),
-                fel: Default::default(),
             },
         ),
     ];

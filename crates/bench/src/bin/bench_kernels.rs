@@ -1,6 +1,6 @@
 //! Kernel perf baseline: wall-clock and events/sec per kernel, thread
-//! count, FEL backend, partitioner, and scheduling policy on the fat-tree
-//! incast workload, emitted as machine-readable JSON.
+//! count, partitioner, and scheduling policy on the fat-tree incast
+//! workload, emitted as machine-readable JSON.
 //!
 //! ```sh
 //! cargo run --release -p unison-bench --bin bench_kernels -- \
@@ -14,15 +14,17 @@
 //! Without `--bench-json` the report prints to stdout. The committed
 //! `BENCH_kernels.json` at the repository root is one large-scale snapshot
 //! (the tier the headline acceptance ratios are defined on); numbers are
-//! machine-dependent, so compare ratios (ladder vs. heap, steal-deque vs.
-//! shared cursor, thread scaling), not absolute rates, across machines.
+//! machine-dependent, so compare ratios (steal-deque vs. shared cursor,
+//! thread scaling), not absolute rates, across machines.
 //! The CI `perf-smoke` job regenerates the file as a build artifact on
 //! every run.
 //!
-//! Schema kernels-v5: each row carries `"repeat"` (0 for grid rows, n ≥ 1
+//! Schema kernels-v6: each row carries `"repeat"` (0 for grid rows, n ≥ 1
 //! for the dedicated interleaved headline pairs — v4 emitted those
 //! indistinguishable from grid rows) and `"fused_rounds"` (how many rounds
-//! the unison kernel ran barrier-free, DESIGN.md §4.9).
+//! the unison kernel ran barrier-free, DESIGN.md §4.9). v6 drops v5's FEL
+//! axis — the per-row `"fel"` field, the binary-heap rows and the
+//! `ladder_over_heap_2t` headline — since the ladder is the only FEL.
 //!
 //! With `--fault-profile` (requires the `fault-profile` cargo feature,
 //! which pulls in `unison-core/fault-inject`) the report additionally
@@ -34,7 +36,7 @@
 
 use unison_bench::harness::{bench_json_path, fat_tree_scenario, Scale, Scenario};
 use unison_core::{
-    DataRate, FelImpl, KernelKind, PartitionMode, PartitionPipeline, RunReport, SchedConfig,
+    DataRate, KernelKind, PartitionMode, PartitionPipeline, RunReport, SchedConfig,
     SchedPolicyKind, Time,
 };
 
@@ -42,13 +44,12 @@ use unison_core::{
 struct Sample {
     kernel: &'static str,
     threads: u32,
-    fel: FelImpl,
     /// Partitioner label (`auto` or a pipeline's stage chain).
     partitioner: &'static str,
     policy: SchedPolicyKind,
     /// 0 for grid rows (median-of-3, one row per configuration); n ≥ 1 for
     /// the dedicated interleaved headline pairs, which would otherwise be
-    /// indistinguishable from the grid rows they duplicate (kernels-v5).
+    /// indistinguishable from the grid rows they duplicate (kernels-v5+).
     repeat: u32,
     report: RunReport,
 }
@@ -67,13 +68,11 @@ fn partition_modes() -> [(&'static str, PartitionMode); 2] {
 
 /// Median-of-3 by wall-clock: reruns the configuration and keeps the
 /// middle run, so one scheduling hiccup cannot skew the committed baseline.
-#[allow(clippy::too_many_arguments)]
 fn measure(
     scenario: &Scenario,
     name: &'static str,
     kernel: KernelKind,
     threads: u32,
-    fel: FelImpl,
     partitioner: &'static str,
     partition: PartitionMode,
     policy: SchedPolicyKind,
@@ -85,22 +84,20 @@ fn measure(
     let mut runs: Vec<RunReport> = (0..3)
         .map(|_| {
             scenario
-                .run_real_opts(kernel.clone(), partition.clone(), fel, sched)
+                .run_real_opts(kernel.clone(), partition.clone(), sched)
                 .kernel
         })
         .collect();
     runs.sort_by_key(|r| r.wall);
     let report = runs.swap_remove(1);
     eprintln!(
-        "bench_kernels: {name} t={threads} fel={} part={partitioner} sched={} — {:.0} events/sec",
-        fel.name(),
+        "bench_kernels: {name} t={threads} part={partitioner} sched={} — {:.0} events/sec",
         policy.name(),
         report.events_per_sec()
     );
     Sample {
         kernel: name,
         threads,
-        fel,
         partitioner,
         policy,
         repeat: 0,
@@ -115,7 +112,7 @@ fn sample_json(s: &Sample) -> String {
     // Round-based kernels report rounds and zero grants/stalls; the async
     // kernel reports the reverse. `fused_rounds` counts the rounds the
     // unison kernel ran barrier-free (DESIGN.md §4.9); `repeat` tags the
-    // dedicated headline pairs (kernels-v5).
+    // dedicated headline pairs (kernels-v5+).
     let (grants, stalls) = r
         .async_stats
         .as_ref()
@@ -123,7 +120,7 @@ fn sample_json(s: &Sample) -> String {
         .unwrap_or((0, 0));
     format!(
         "    {{\n      \"kernel\": \"{}\",\n      \"threads\": {},\n      \
-         \"fel\": \"{}\",\n      \"partitioner\": \"{}\",\n      \
+         \"partitioner\": \"{}\",\n      \
          \"sched\": \"{}\",\n      \"repeat\": {},\n      \
          \"wall_ns\": {},\n      \"events\": {},\n      \
          \"events_per_sec\": {:.0},\n      \"rounds\": {},\n      \
@@ -134,7 +131,6 @@ fn sample_json(s: &Sample) -> String {
          \"affinity_hit_rate\": {:.4}\n    }}",
         s.kernel,
         s.threads,
-        s.fel.name(),
         s.partitioner,
         s.policy.name(),
         s.repeat,
@@ -188,7 +184,6 @@ fn fault_profile_json(scenario: &Scenario) -> Option<String> {
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
         telemetry: Default::default(),
-        fel: FelImpl::default(),
         watchdog: Default::default(),
         fault: Default::default(),
     };
@@ -288,39 +283,31 @@ fn main() {
     let scale = Scale::from_args();
     let scenario = fat_tree_scenario(scale, 0.5, DataRate::gbps(100), Time::from_micros(3));
 
-    let mut samples = Vec::new();
-    for fel in [FelImpl::Ladder, FelImpl::BinaryHeap] {
+    let mut samples = vec![measure(
+        &scenario,
+        "sequential",
+        KernelKind::Sequential { compat_keys: true },
+        1,
+        "auto",
+        PartitionMode::Auto,
+        SchedPolicyKind::LjfCursor,
+    )];
+    // Thread sweep on the default partitioner/policy.
+    for threads in [1u32, 2, 4] {
         samples.push(measure(
             &scenario,
-            "sequential",
-            KernelKind::Sequential { compat_keys: true },
-            1,
-            fel,
+            "unison",
+            KernelKind::Unison {
+                threads: threads as usize,
+            },
+            threads,
             "auto",
             PartitionMode::Auto,
             SchedPolicyKind::LjfCursor,
         ));
     }
-    // FEL A/B on the default partitioner/policy.
-    for threads in [1u32, 2, 4] {
-        for fel in [FelImpl::Ladder, FelImpl::BinaryHeap] {
-            samples.push(measure(
-                &scenario,
-                "unison",
-                KernelKind::Unison {
-                    threads: threads as usize,
-                },
-                threads,
-                fel,
-                "auto",
-                PartitionMode::Auto,
-                SchedPolicyKind::LjfCursor,
-            ));
-        }
-    }
-    // The barrier-free asynchronous conservative kernel on the default
-    // (ladder) FEL: its scheduling is static ownership, so only the
-    // thread axis is swept.
+    // The barrier-free asynchronous conservative kernel: its scheduling is
+    // static ownership, so only the thread axis is swept.
     for threads in [1u32, 2, 4] {
         samples.push(measure(
             &scenario,
@@ -329,15 +316,13 @@ fn main() {
                 threads: threads as usize,
             },
             threads,
-            FelImpl::Ladder,
             "auto",
             PartitionMode::Auto,
             SchedPolicyKind::LjfCursor,
         ));
     }
-    // (partitioner, sched-policy) grid at the parallel thread counts, on
-    // the default (ladder) FEL. The (auto, ljf-cursor) cell already exists
-    // above; skip the duplicate.
+    // (partitioner, sched-policy) grid at the parallel thread counts. The
+    // (auto, ljf-cursor) cell already exists above; skip the duplicate.
     for threads in [2u32, 4] {
         for (pname, pmode) in partition_modes() {
             for policy in [SchedPolicyKind::LjfCursor, SchedPolicyKind::StealDeque] {
@@ -351,7 +336,6 @@ fn main() {
                         threads: threads as usize,
                     },
                     threads,
-                    FelImpl::Ladder,
                     pname,
                     pmode.clone(),
                     policy,
@@ -360,28 +344,22 @@ fn main() {
         }
     }
 
-    // Headline ratios. Ladder+pool vs. heap backs the engine's perf claim
-    // (DESIGN.md §4.4); steal-deque vs. shared cursor backs the scheduler
-    // extension's "no regression" claim (DESIGN.md §4.5) — both on the
-    // 2-thread configuration.
-    let kernel_rate = |kernel: &str, threads: u32, fel: FelImpl, policy: SchedPolicyKind| {
+    // Headline ratio: steal-deque vs. shared cursor backs the scheduler
+    // extension's "no regression" claim (DESIGN.md §4.5) on the 2-thread
+    // configuration.
+    let rate = |policy: SchedPolicyKind| {
         samples
             .iter()
             .find(|s| {
-                s.kernel == kernel
-                    && s.threads == threads
-                    && s.fel == fel
+                s.kernel == "unison"
+                    && s.threads == 2
                     && s.partitioner == "auto"
                     && s.policy == policy
             })
             .map(|s| s.report.events_per_sec())
             .unwrap_or(f64::NAN)
     };
-    let ljf = SchedPolicyKind::LjfCursor;
-    let rate = |fel: FelImpl, policy: SchedPolicyKind| kernel_rate("unison", 2, fel, policy);
-    let speedup = rate(FelImpl::Ladder, ljf) / rate(FelImpl::BinaryHeap, ljf);
-    let steal_over_ljf =
-        rate(FelImpl::Ladder, SchedPolicyKind::StealDeque) / rate(FelImpl::Ladder, ljf);
+    let steal_over_ljf = rate(SchedPolicyKind::StealDeque) / rate(SchedPolicyKind::LjfCursor);
     // Thread-scaling and async headlines: the grid rows above are measured
     // minutes apart, so their ratios soak up machine drift; the headlines
     // instead come from three dedicated interleaved pairs with alternating
@@ -398,13 +376,12 @@ fn main() {
                              y_threads: u32| {
         let mut run = |kernel: &KernelKind, name: &'static str, threads: u32, repeat: u32| {
             let report = scenario
-                .run_real_with_fel(kernel.clone(), PartitionMode::Auto, FelImpl::Ladder)
+                .run_real(kernel.clone(), PartitionMode::Auto)
                 .kernel;
             let rate = report.events_per_sec();
             samples.push(Sample {
                 kernel: name,
                 threads,
-                fel: FelImpl::Ladder,
                 partitioner: "auto",
                 policy: SchedPolicyKind::LjfCursor,
                 repeat,
@@ -445,7 +422,6 @@ fn main() {
         "unison",
         1,
     );
-    eprintln!("bench_kernels: ladder/heap speedup at 2 threads: {speedup:.3}x");
     eprintln!("bench_kernels: steal-deque/ljf-cursor at 2 threads: {steal_over_ljf:.3}x");
     eprintln!("bench_kernels: async_cons/unison at 4 threads: {async_over_unison_4t:.3}x");
     eprintln!("bench_kernels: unison 4t over 1t: {unison_4t_over_1t:.3}x");
@@ -453,17 +429,16 @@ fn main() {
     let fault_profile = fault_profile_json(&scenario).unwrap_or_else(|| "null".into());
     let runs: Vec<String> = samples.iter().map(sample_json).collect();
     let json = format!(
-        "{{\n  \"schema\": \"unison-bench/kernels-v5\",\n  \
+        "{{\n  \"schema\": \"unison-bench/kernels-v6\",\n  \
          \"scale\": \"{}\",\n  \
          \"workload\": \"fat-tree k={} incast 0.5, 100 Gbps links, 3 us delay\",\n  \
-         \"ladder_over_heap_2t\": {:.3},\n  \"steal_over_ljf_2t\": {:.3},\n  \
+         \"steal_over_ljf_2t\": {:.3},\n  \
          \"async_over_unison_4t\": {:.3},\n  \
          \"unison_4t_over_1t\": {:.3},\n  \
          \"fault_profile\": {},\n  \
          \"runs\": [\n{}\n  ]\n}}\n",
         scale.name(),
         scale.pick(4, 8),
-        speedup,
         steal_over_ljf,
         async_over_unison_4t,
         unison_4t_over_1t,

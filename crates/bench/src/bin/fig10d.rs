@@ -89,7 +89,6 @@ fn run_once(interval: Time, kernel: KernelKind, window: Time) -> (Duration, u64)
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
         telemetry: profile_telemetry(),
-        fel: Default::default(),
         fault: Default::default(),
     };
     let (_, report) = unison_core::run(world, &cfg).expect("run");

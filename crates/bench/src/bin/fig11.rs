@@ -31,7 +31,6 @@ fn run_epoch(kernel: KernelKind, partition: PartitionMode) -> (u64, f64) {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             telemetry: profile_telemetry(),
-            fel: Default::default(),
             fault: Default::default(),
         })
         .expect("run");

@@ -45,7 +45,6 @@ fn main() {
                 sched: SchedConfig::default(),
                 metrics: MetricsLevel::Summary,
                 telemetry: profile_telemetry(),
-                fel: Default::default(),
                 fault: Default::default(),
             })
             .expect("run");

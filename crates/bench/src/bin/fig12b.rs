@@ -93,7 +93,6 @@ fn main() {
                 sched: SchedConfig::default(),
                 metrics: unison_core::MetricsLevel::PerRound,
                 telemetry: profile_telemetry(),
-                fel: Default::default(),
                 fault: Default::default(),
             })
             .expect("run");

@@ -82,7 +82,6 @@ fn main() {
                 sched: SchedConfig::default(),
                 metrics: MetricsLevel::Summary,
                 telemetry: profile_telemetry(),
-                fel: Default::default(),
                 fault: Default::default(),
             })
             .expect("sequential run");

@@ -4,9 +4,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use unison_core::{
-    fine_grained_partition, manual_partition, partition_below_bound, FelImpl, KernelKind,
-    LinkGraph, MetricsLevel, NodeId, Partition, PartitionMode, Partitioner, RoundRecord, RunConfig,
-    RunReport, SchedConfig, TelemetryConfig, Time,
+    fine_grained_partition, manual_partition, partition_below_bound, KernelKind, LinkGraph,
+    MetricsLevel, NodeId, Partition, PartitionMode, Partitioner, RoundRecord, RunConfig, RunReport,
+    SchedConfig, TelemetryConfig, Time,
 };
 use unison_netsim::{FlowReport, NetworkBuilder, QueueConfig, TransportKind};
 use unison_topology::Topology;
@@ -181,7 +181,6 @@ impl Scenario {
                 sched: SchedConfig::default(),
                 metrics: MetricsLevel::PerRound,
                 telemetry: profile_telemetry(),
-                fel: Default::default(),
                 fault: Default::default(),
             })
             // INVARIANT: bench models are closed and terminating; a crash
@@ -201,28 +200,16 @@ impl Scenario {
 
     /// Runs for real on the given kernel (wall-clock measurement).
     pub fn run_real(&self, kernel: KernelKind, partition: PartitionMode) -> RealRun {
-        self.run_real_with_fel(kernel, partition, FelImpl::default())
+        self.run_real_opts(kernel, partition, SchedConfig::default())
     }
 
-    /// [`Scenario::run_real`] with an explicit FEL backend — the A/B switch
-    /// used by `bench_kernels` and the perf-smoke tripwires.
-    pub fn run_real_with_fel(
-        &self,
-        kernel: KernelKind,
-        partition: PartitionMode,
-        fel: FelImpl,
-    ) -> RealRun {
-        self.run_real_opts(kernel, partition, fel, SchedConfig::default())
-    }
-
-    /// [`Scenario::run_real_with_fel`] with an explicit scheduling
+    /// [`Scenario::run_real`] with an explicit scheduling
     /// configuration — the A/B switch for the (partitioner, sched-policy)
     /// bench matrix and the work-stealing perf-smoke tripwire.
     pub fn run_real_opts(
         &self,
         kernel: KernelKind,
         partition: PartitionMode,
-        fel: FelImpl,
         sched: SchedConfig,
     ) -> RealRun {
         let sim = self.builder().build();
@@ -234,7 +221,6 @@ impl Scenario {
                 sched,
                 metrics: MetricsLevel::Summary,
                 telemetry: profile_telemetry(),
-                fel,
                 fault: Default::default(),
             })
             // INVARIANT: bench models are closed and terminating; a crash

@@ -11,31 +11,25 @@
 //!     --test-threads=1
 //! ```
 //!
-//! Six claims are guarded, with deliberately loose thresholds (these
+//! Four claims are guarded, with deliberately loose thresholds (these
 //! are tripwires against large regressions, not micro-benchmarks — the
 //! committed `BENCH_kernels.json` baseline holds the precise numbers):
 //!
-//! 1. on the 2-thread Unison kernel the ladder FEL is not materially
-//!    slower than the binary-heap reference on the fat-tree incast
-//!    workload (interleaved medians, ≥ 0.85x — measured parity, see
-//!    `BENCH_kernels.json`);
-//! 2. on the sequential kernel the ladder keeps a real lead over the heap
-//!    (≥ 1.05x; measured 1.2–1.45x);
-//! 3. the mailbox node pool reaches a > 90% hit rate at steady state —
+//! 1. the mailbox node pool reaches a > 90% hit rate at steady state —
 //!    i.e. after warm-up, receive-phase traffic reuses recycled nodes
 //!    instead of allocating;
-//! 4. the work-stealing scheduler (`SchedPolicyKind::StealDeque`) is not
+//! 2. the work-stealing scheduler (`SchedPolicyKind::StealDeque`) is not
 //!    materially slower than the shared LJF cursor on the same workload
 //!    (≥ 0.9x — its whole point is overlap, so losing 10%+ to deque
 //!    overhead would mean the extension broke its contract, DESIGN.md
 //!    §4.5);
-//! 5. on the large tier (fat-tree k = 8, ≥ 10⁷ events) the barrier-free
+//! 3. on the large tier (fat-tree k = 8, ≥ 10⁷ events) the barrier-free
 //!    asynchronous conservative kernel at 4 threads holds parity or
 //!    better against the Unison kernel at 4 threads (contract ≥ 1.0x,
 //!    recorded in `BENCH_kernels.json`; enforcement floor 0.85 absorbs
 //!    shared-runner noise — removing the round barrier is the kernel's
 //!    entire reason to exist, DESIGN.md §4.8);
-//! 6. on the same large tier the round-based Unison kernel at 4 threads
+//! 4. on the same large tier the round-based Unison kernel at 4 threads
 //!    holds parity or better against itself at 1 thread (contract ≥ 1.0x,
 //!    the `unison_4t_over_1t` headline in `BENCH_kernels.json`; same 0.85
 //!    enforcement floor for timesliced 1-CPU runners) — the ratio round
@@ -43,9 +37,7 @@
 //!    §4.9, ROADMAP item 1).
 
 use unison_bench::harness::{fat_tree_scenario, Scale, Scenario};
-use unison_core::{
-    DataRate, FelImpl, KernelKind, PartitionMode, SchedConfig, SchedPolicyKind, Time,
-};
+use unison_core::{DataRate, KernelKind, PartitionMode, SchedConfig, SchedPolicyKind, Time};
 
 /// The paper's §3.2 profiling workload at quick scale: a k=4 fat-tree with
 /// a 50% incast share — mailbox- and FEL-heavy by construction.
@@ -53,107 +45,18 @@ fn incast() -> Scenario {
     fat_tree_scenario(Scale::Quick, 0.5, DataRate::gbps(100), Time::from_micros(3))
 }
 
-/// One wall-clock sample: events per second under the given FEL backend on
-/// the 2-thread Unison kernel.
-fn sample(scenario: &Scenario, fel: FelImpl) -> f64 {
-    scenario
-        .run_real_with_fel(KernelKind::Unison { threads: 2 }, PartitionMode::Auto, fel)
-        .kernel
-        .events_per_sec()
-}
-
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_unstable_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
 }
 
-/// Tripwire 1: the ladder queue must not lose materially to the heap on
-/// the incast workload. Samples are interleaved so machine drift hits
-/// both arms equally; medians defeat one-off outliers.
-///
-/// Measured status: the ladder wins clearly on the sequential kernel
-/// (~1.3x) and, since small re-primes sort straight into its bottom tier
-/// and its buffer pool is bounded, also leads on the multi-threaded Unison
-/// kernel, whose per-LP FELs re-prime a handful of events per round. The
-/// 0.85 threshold guards against a real regression without flaking on
-/// run-to-run noise.
-#[test]
-#[ignore = "wall-clock tripwire; run explicitly in the CI perf-smoke job"]
-fn ladder_not_slower_than_heap_on_incast() {
-    let scenario = incast();
-    // Warm-up (page cache, allocator, frequency scaling).
-    sample(&scenario, FelImpl::Ladder);
-    sample(&scenario, FelImpl::BinaryHeap);
-    let mut ladder = Vec::new();
-    let mut heap = Vec::new();
-    for _ in 0..5 {
-        ladder.push(sample(&scenario, FelImpl::Ladder));
-        heap.push(sample(&scenario, FelImpl::BinaryHeap));
-    }
-    let (l, h) = (median(&mut ladder), median(&mut heap));
-    let ratio = l / h;
-    eprintln!(
-        "perf-smoke: incast events/sec — ladder {l:.0}, heap {h:.0} \
-         (ratio {ratio:.3})"
-    );
-    assert!(
-        ratio >= 0.85,
-        "ladder FEL regressed below the binary-heap reference on the \
-         fat-tree incast workload: {l:.0} vs {h:.0} events/sec \
-         (ratio {ratio:.3}, tripwire 0.85)"
-    );
-}
-
-/// Tripwire 1b: on the sequential kernel — one global FEL holding the
-/// whole simulation, the ladder's best case — the ladder must keep a real
-/// lead over the heap. Every recorded baseline run measures 1.2–1.45x;
-/// the 1.05 threshold trips on a genuine loss of the win, not on noise.
-#[test]
-#[ignore = "wall-clock tripwire; run explicitly in the CI perf-smoke job"]
-fn ladder_beats_heap_on_sequential() {
-    let scenario = incast();
-    let sample_seq = |fel: FelImpl| {
-        scenario
-            .run_real_with_fel(
-                KernelKind::Sequential { compat_keys: true },
-                PartitionMode::Auto,
-                fel,
-            )
-            .kernel
-            .events_per_sec()
-    };
-    sample_seq(FelImpl::Ladder);
-    sample_seq(FelImpl::BinaryHeap);
-    let mut ladder = Vec::new();
-    let mut heap = Vec::new();
-    for _ in 0..5 {
-        ladder.push(sample_seq(FelImpl::Ladder));
-        heap.push(sample_seq(FelImpl::BinaryHeap));
-    }
-    let (l, h) = (median(&mut ladder), median(&mut heap));
-    let ratio = l / h;
-    eprintln!(
-        "perf-smoke: sequential events/sec — ladder {l:.0}, heap {h:.0} \
-         (ratio {ratio:.3})"
-    );
-    assert!(
-        ratio >= 1.05,
-        "ladder FEL lost its sequential-kernel lead over the binary heap: \
-         {l:.0} vs {h:.0} events/sec (ratio {ratio:.3}, tripwire 1.05)"
-    );
-}
-
-/// Tripwire 2: at steady state the mailbox pool must serve > 90% of
+/// Tripwire 1: at steady state the mailbox pool must serve > 90% of
 /// pooled pushes from recycled nodes. Misses are expected only while each
 /// inbox queue grows to its steady-state depth in the first rounds.
 #[test]
 #[ignore = "wall-clock tripwire; run explicitly in the CI perf-smoke job"]
 fn pool_hit_rate_above_90_percent_steady_state() {
-    let run = incast().run_real_with_fel(
-        KernelKind::Unison { threads: 2 },
-        PartitionMode::Auto,
-        FelImpl::Ladder,
-    );
+    let run = incast().run_real(KernelKind::Unison { threads: 2 }, PartitionMode::Auto);
     let engine = run.kernel.engine;
     let rate = engine.pool_hit_rate();
     eprintln!(
@@ -174,7 +77,7 @@ fn pool_hit_rate_above_90_percent_steady_state() {
     );
 }
 
-/// Tripwire 3: the work-stealing scheduler must not lose materially to
+/// Tripwire 2: the work-stealing scheduler must not lose materially to
 /// the shared LJF cursor on the incast workload. StealDeque pays for its
 /// per-claim deque traversal with overlap when LP costs are skewed; on a
 /// balanced workload the two should sit at parity (measured 1.0x in
@@ -190,7 +93,6 @@ fn steal_deque_not_slower_than_ljf_cursor_on_incast() {
             .run_real_opts(
                 KernelKind::Unison { threads: 2 },
                 PartitionMode::Auto,
-                FelImpl::Ladder,
                 SchedConfig {
                     policy,
                     ..Default::default()
@@ -222,7 +124,7 @@ fn steal_deque_not_slower_than_ljf_cursor_on_incast() {
     );
 }
 
-/// Tripwire 4: the async-conservative kernel's headline. On the large
+/// Tripwire 3: the async-conservative kernel's headline. On the large
 /// tier — big enough that per-event work dominates thread start-up — the
 /// barrier-free kernel must not lose to the round-based Unison kernel at
 /// the same thread count. Five interleaved sample pairs per arm, with the
@@ -232,19 +134,19 @@ fn steal_deque_not_slower_than_ljf_cursor_on_incast() {
 ///
 /// The contract is parity or better (≥ 1.0x medians; the committed
 /// `async_over_unison_4t` in `BENCH_kernels.json` records the measured
-/// ratio). The *enforcement* threshold is 0.85, like tripwire 1's: on
-/// timesliced single-CPU CI runners the per-pair ratio of two kernels at
-/// true parity was measured to swing ±15% with neighbor load, so a 1.0
-/// assertion would trip on scheduler luck, not regressions. A median
-/// below 0.85 means the barrier-free sweep machinery genuinely costs
-/// more than the barrier it replaced.
+/// ratio). The *enforcement* threshold is 0.85: on timesliced single-CPU
+/// CI runners the per-pair ratio of two kernels at true parity was
+/// measured to swing ±15% with neighbor load, so a 1.0 assertion would
+/// trip on scheduler luck, not regressions. A median below 0.85 means the
+/// barrier-free sweep machinery genuinely costs more than the barrier it
+/// replaced.
 #[test]
 #[ignore = "wall-clock tripwire; run explicitly in the CI perf-smoke job"]
 fn async_cons_not_slower_than_unison_on_large_tier() {
     let scenario = fat_tree_scenario(Scale::Large, 0.5, DataRate::gbps(100), Time::from_micros(3));
     let threads = 4usize;
     let sample_kernel = |kernel: KernelKind| {
-        let run = scenario.run_real_with_fel(kernel, PartitionMode::Auto, FelImpl::Ladder);
+        let run = scenario.run_real(kernel, PartitionMode::Auto);
         (run.kernel.events, run.kernel.events_per_sec())
     };
     // Warm-up (page cache, allocator, frequency scaling).
@@ -294,14 +196,14 @@ fn async_cons_not_slower_than_unison_on_large_tier() {
     );
 }
 
-/// Tripwire 5: the round-based kernel's own thread scaling on the large
+/// Tripwire 4: the round-based kernel's own thread scaling on the large
 /// tier — the `unison_4t_over_1t` headline. Round fusion (DESIGN.md §4.9)
 /// removes barrier crossings from sparse rounds and the hierarchical tree
 /// barrier cheapens the rest, so 4 threads must not run *slower* than 1
 /// thread on a ≥ 10⁷-event workload (the kernels-v4 baseline measured
 /// 0.96 — ROADMAP item 1 verbatim).
 ///
-/// Same measurement discipline as tripwire 4: interleaved pairs with
+/// Same measurement discipline as tripwire 3: interleaved pairs with
 /// alternating within-pair order, medians per arm. The contract is
 /// parity or better (≥ 1.0x); the enforcement threshold is 0.85 because
 /// on timesliced single-CPU runners four workers sharing one core pay
@@ -312,11 +214,7 @@ fn async_cons_not_slower_than_unison_on_large_tier() {
 fn unison_4t_not_slower_than_1t_on_large_tier() {
     let scenario = fat_tree_scenario(Scale::Large, 0.5, DataRate::gbps(100), Time::from_micros(3));
     let sample_threads = |threads: usize| {
-        let run = scenario.run_real_with_fel(
-            KernelKind::Unison { threads },
-            PartitionMode::Auto,
-            FelImpl::Ladder,
-        );
+        let run = scenario.run_real(KernelKind::Unison { threads }, PartitionMode::Auto);
         (run.kernel.events, run.kernel.events_per_sec())
     };
     // Warm-up (page cache, allocator, frequency scaling).

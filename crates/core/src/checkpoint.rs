@@ -514,7 +514,6 @@ where
 pub fn write_initial<N>(
     world: World<N>,
     partition: &crate::partition::Partition,
-    fel_impl: crate::fel::FelImpl,
     path: &Path,
 ) -> Result<World<N>, SnapshotError>
 where
@@ -528,8 +527,7 @@ where
                 .into(),
         ));
     }
-    let (lps, _dir, graph, globals, stop_at, ext_seq) =
-        crate::kernel::build_lps(world, partition, fel_impl);
+    let (lps, _dir, graph, globals, stop_at, ext_seq) = crate::kernel::build_lps(world, partition);
     debug_assert!(globals.is_empty(), "checked init_globals above");
 
     let assignment: Vec<u32> = partition.node_lp.iter().map(|lp| lp.0).collect();

@@ -475,7 +475,7 @@ where
 
     std::fs::create_dir_all(&policy.checkpoints.dir).map_err(SnapshotError::Io)?;
     let initial = policy.checkpoints.file_at(Time::ZERO);
-    let mut world = checkpoint::write_initial(world, &partition, cfg.fel, &initial)?;
+    let mut world = checkpoint::write_initial(world, &partition, &initial)?;
 
     // Only the kernels that execute global events (Unison, hybrid, and the
     // async-conservative kernel at its quiesced gates) can run the periodic

@@ -3,40 +3,33 @@
 //! A min-priority queue of events ordered by [`EventKey`]. Every LP owns one
 //! FEL; the sequential kernel owns a single global FEL.
 //!
-//! Two interchangeable implementations sit behind the same API, selected by
-//! [`FelImpl`] (see DESIGN.md §4.4):
+//! [`Fel`] is a multi-rung ladder queue (after Tang & Goh's ladder queue;
+//! DESIGN.md §4.4). Near-future events are spread over fixed-width time
+//! buckets; a promoted bucket is either sorted into a small bottom tier
+//! (popped O(1) from the back) or — when too large to sort cheaply —
+//! subdivided into a finer child rung; far-future events sit in an unsorted
+//! overflow tier until the ladder re-primes. A re-prime of at most
+//! `LADDER_THRES` events skips the rungs and sorts straight into the bottom
+//! tier. Amortized O(1) per event on both the kernels' windowed access
+//! pattern and the sequential kernel's push-one/pop-one pattern.
 //!
-//! - [`FelImpl::BinaryHeap`]: the reference `std::collections::BinaryHeap`
-//!   min-heap — O(log n) sift per push/pop, branchy comparisons on every
-//!   level.
-//! - [`FelImpl::Ladder`] (default): a multi-rung ladder queue (after Tang &
-//!   Goh's ladder queue). Near-future events are spread over fixed-width
-//!   time buckets; a promoted bucket is either sorted into a small bottom
-//!   tier (popped O(1) from the back) or — when too large to sort cheaply —
-//!   subdivided into a finer child rung; far-future events sit in an
-//!   unsorted overflow tier until the ladder re-primes. A re-prime of at
-//!   most `LADDER_THRES` events skips the rungs and sorts straight into the
-//!   bottom tier. Amortized O(1) per event on both the kernels' windowed
-//!   access pattern and the sequential kernel's push-one/pop-one pattern.
-//!
-//! Both implementations pop in exactly the same order — the total
-//! [`EventKey`] order — so simulation results are bit-identical regardless
-//! of the configured implementation (checked by the differential property
-//! suite in `crates/core/tests/proptests.rs`).
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! Pops follow the total [`EventKey`] order exactly, which is what makes
+//! simulation results deterministic; the differential property suite in
+//! `crates/core/tests/proptests.rs` checks every operation against a sorted
+//! reference map.
 
 use crate::event::{Event, EventKey};
 use crate::time::Time;
 
-/// Which FEL implementation a run uses (`RunConfig::fel`).
+/// The FEL implementation a run used, as recorded in
+/// [`crate::EngineStats::fel_impl`].
+///
+/// There is one implementation; the type survives only so run reports
+/// (and the repo benchmark, which prints [`FelImpl::name`]) keep naming it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FelImpl {
-    /// The reference binary min-heap.
-    BinaryHeap,
-    /// The multi-rung ladder queue (default): sorted bottom tier, rung
-    /// stack of time buckets, unsorted far-future overflow.
+    /// The multi-rung ladder queue: sorted bottom tier, rung stack of time
+    /// buckets, unsorted far-future overflow.
     #[default]
     Ladder,
 }
@@ -45,33 +38,8 @@ impl FelImpl {
     /// Short display name, used in reports and bench output.
     pub fn name(self) -> &'static str {
         match self {
-            FelImpl::BinaryHeap => "binary-heap",
             FelImpl::Ladder => "ladder",
         }
-    }
-}
-
-/// Wrapper inverting the event order so `BinaryHeap` acts as a min-heap.
-struct HeapEntry<P>(Event<P>);
-
-impl<P> PartialEq for HeapEntry<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.key == other.0.key
-    }
-}
-
-impl<P> Eq for HeapEntry<P> {}
-
-impl<P> PartialOrd for HeapEntry<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<P> Ord for HeapEntry<P> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: the smallest key is the "greatest" heap element.
-        other.0.key.cmp(&self.0.key)
     }
 }
 
@@ -134,13 +102,28 @@ impl<P> Rung<P> {
     }
 }
 
-/// The multi-rung ladder queue (see module docs and DESIGN.md §4.4).
+/// A future event list: a min-priority queue over the deterministic
+/// [`EventKey`] order, stored as a multi-rung ladder queue (see module docs
+/// and DESIGN.md §4.4).
+///
+/// # Examples
+///
+/// ```
+/// use unison_core::{Event, EventKey, Fel, NodeId, Time};
+///
+/// let mut fel: Fel<&str> = Fel::new();
+/// fel.push(Event { key: EventKey::external(Time(20), 1), node: NodeId(0), payload: "b" });
+/// fel.push(Event { key: EventKey::external(Time(10), 0), node: NodeId(0), payload: "a" });
+/// assert_eq!(fel.pop().unwrap().payload, "a");
+/// assert_eq!(fel.pop().unwrap().payload, "b");
+/// assert!(fel.is_empty());
+/// ```
 ///
 /// Three tiers:
 ///
 /// - **bottom**: a small vector sorted descending by [`EventKey`], popped
 ///   from the back — the imminent events.
-/// - **rungs**: a stack of [`Rung`]s. `rungs[0]` is the coarsest; each
+/// - **rungs**: a stack of `Rung`s. `rungs[0]` is the coarsest; each
 ///   deeper rung subdivides one promoted bucket of its parent, so deeper
 ///   rungs always cover *earlier* time than the shallower remainders.
 /// - **overflow**: unsorted far-future events at or beyond `top_start`
@@ -182,7 +165,7 @@ impl<P> Rung<P> {
 /// Every operation that takes bucket buffers from `pool` hands back as
 /// many, so the retained buffers are bounded by the deepest rung stack
 /// (`LADDER_BUCKETS` per rung, plus the tier buffers), not by run length.
-struct Ladder<P> {
+pub struct Fel<P> {
     /// Imminent events, sorted descending by key; pop from the back.
     bottom: Vec<Event<P>>,
     /// Unsorted pushes below every rung threshold, merged into `bottom`
@@ -204,20 +187,27 @@ struct Ladder<P> {
     /// Recycled bucket buffers (capacity retained across rung churn).
     pool: Vec<Vec<Event<P>>>,
     /// Memoized minimum timestamp stored in any rung (`Time::MAX` when the
-    /// rungs are empty); `None` when stale. [`Ladder::next_ts`] is called
+    /// rungs are empty); `None` when stale. [`Fel::next_ts`] is called
     /// once per LP per round by the kernels' window planning, and without
     /// the memo each call re-scans the deepest rung's front bucket. Pushes
     /// keep the memo exact (`min`); structural changes — promotion, rung
-    /// spawn, clear — invalidate it.
+    /// spawn — invalidate it.
     rung_min_memo: std::cell::Cell<Option<Time>>,
     /// Total stored events.
     len: usize,
 }
 
-impl<P> Ladder<P> {
-    fn new(capacity: usize) -> Self {
-        Ladder {
-            bottom: Vec::with_capacity(capacity),
+impl<P> Default for Fel<P> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<P> Fel<P> {
+    /// Creates an empty FEL.
+    pub fn new() -> Self {
+        Fel {
+            bottom: Vec::new(),
             stage: Vec::new(),
             stage_min: EventKey {
                 ts: Time::MAX,
@@ -235,8 +225,32 @@ impl<P> Ladder<P> {
         }
     }
 
+    /// Inserts an event.
+    ///
+    /// The FEL insert is the simulator's allocation chokepoint, which makes
+    /// it the natural site for the simulated-OOM fault hook: an armed
+    /// [`crate::fault::FaultKind::AllocFail`] panics here as if the backing
+    /// allocation had failed (compiled out without `fault-inject`).
     #[inline]
-    fn push(&mut self, ev: Event<P>) {
+    pub fn push(&mut self, ev: Event<P>) {
+        #[cfg(feature = "fault-inject")]
+        crate::fault::alloc_check();
+        self.insert(ev);
+    }
+
+    /// Bulk insert: a straight routing pass (every event is appended to its
+    /// tier unsorted); sorting happens lazily on pop — which is what makes
+    /// the receive phase's batched mailbox-to-FEL hand-off cheap.
+    pub fn extend(&mut self, events: impl IntoIterator<Item = Event<P>>) {
+        for ev in events {
+            self.insert(ev);
+        }
+    }
+
+    /// [`Fel::push`] without the fault hook, which counts pushes, not
+    /// bulk-inserted events.
+    #[inline]
+    fn insert(&mut self, ev: Event<P>) {
         self.len += 1;
         let ts = ev.key.ts;
         if ts >= self.top_start {
@@ -267,8 +281,9 @@ impl<P> Ladder<P> {
         self.stage.push(ev);
     }
 
+    /// Removes and returns the event with the smallest key.
     #[inline]
-    fn pop(&mut self) -> Option<Event<P>> {
+    pub fn pop(&mut self) -> Option<Event<P>> {
         loop {
             if !self.stage.is_empty()
                 && (self.bottom.is_empty()
@@ -288,11 +303,14 @@ impl<P> Ladder<P> {
         }
     }
 
-    /// [`Ladder::pop`] restricted to events with `ts < bound` — the
+    /// Removes and returns the next event only if its timestamp is strictly
+    /// below `bound`.
+    ///
+    /// This is [`Fel::pop`] restricted to events with `ts < bound` — the
     /// kernel's per-round drain loop. Deciding from tier *lower bounds*
     /// alone (bottom back, `stage_min`, the next bucket's start, the
     /// cached overflow minimum) keeps the no-more-work answer cheap: a
-    /// failing call never scans bucket contents the way [`Ladder::next_ts`]
+    /// failing call never scans bucket contents the way [`Fel::next_ts`]
     /// must, so the round-boundary probe is O(1) amortized.
     ///
     /// The stage is flushed only when a staged event is actually *due*
@@ -304,7 +322,7 @@ impl<P> Ladder<P> {
     /// kernel's trickle of small cross-LP deliveries this is the
     /// difference between one `bottom` sort per grant window and one per
     /// sweep (DESIGN.md §4.8).
-    fn pop_below(&mut self, bound: Time) -> Option<Event<P>> {
+    pub fn pop_below(&mut self, bound: Time) -> Option<Event<P>> {
         loop {
             let stage_due = !self.stage.is_empty() && self.stage_min.ts < bound;
             if let Some(ev) = self.bottom.last() {
@@ -515,8 +533,9 @@ impl<P> Ladder<P> {
         self.spawn_rung(omin, width, events);
     }
 
-    /// Minimum key over all tiers, without mutating the structure.
-    fn peek_key(&self) -> Option<EventKey> {
+    /// Key of the next event, if any: the minimum over all tiers, found
+    /// without mutating the structure.
+    pub fn peek_key(&self) -> Option<EventKey> {
         // Invariant 1: the near tier (`bottom` ∪ `stage`) precedes every
         // rung and overflow event in time.
         let near = match (self.bottom.last(), self.stage.is_empty()) {
@@ -542,10 +561,10 @@ impl<P> Ladder<P> {
         self.overflow.iter().map(|e| e.key).min()
     }
 
-    /// Timestamp of the next event (`Time::MAX` when empty). Cheaper than
-    /// [`Ladder::peek_key`]: the cached `overflow_min` avoids the overflow
+    /// Timestamp of the next event, or [`Time::MAX`] when empty. Cheaper
+    /// than [`Fel::peek_key`]: the cached `overflow_min` avoids the overflow
     /// scan, and bucket scans only need the minimum `ts`, not the full key.
-    fn next_ts(&self) -> Time {
+    pub fn next_ts(&self) -> Time {
         if let Some(ev) = self.bottom.last() {
             let near = ev.key.ts;
             return if self.stage.is_empty() {
@@ -579,184 +598,16 @@ impl<P> Ladder<P> {
         rung_min.min(self.overflow_min)
     }
 
-    fn iter(&self) -> impl Iterator<Item = &Event<P>> {
-        self.bottom
-            .iter()
-            .chain(self.stage.iter())
-            .chain(self.rungs.iter().flat_map(|r| r.buckets.iter().flatten()))
-            .chain(self.overflow.iter())
-    }
-
-    fn clear(&mut self) {
-        self.bottom.clear();
-        self.stage.clear();
-        while let Some(r) = self.rungs.pop() {
-            for mut b in r.buckets {
-                b.clear();
-                self.pool.push(b);
-            }
-        }
-        self.overflow.clear();
-        self.overflow_min = Time::MAX;
-        self.top_start = Time::ZERO;
-        self.rung_min_memo.set(Some(Time::MAX));
-        self.len = 0;
-    }
-}
-
-/// A future event list: a min-priority queue over the deterministic
-/// [`EventKey`] order.
-///
-/// # Examples
-///
-/// ```
-/// use unison_core::{Event, EventKey, Fel, NodeId, Time};
-///
-/// let mut fel: Fel<&str> = Fel::new();
-/// fel.push(Event { key: EventKey::external(Time(20), 1), node: NodeId(0), payload: "b" });
-/// fel.push(Event { key: EventKey::external(Time(10), 0), node: NodeId(0), payload: "a" });
-/// assert_eq!(fel.pop().unwrap().payload, "a");
-/// assert_eq!(fel.pop().unwrap().payload, "b");
-/// assert!(fel.is_empty());
-/// ```
-pub struct Fel<P> {
-    repr: Repr<P>,
-}
-
-enum Repr<P> {
-    Heap(BinaryHeap<HeapEntry<P>>),
-    Ladder(Ladder<P>),
-}
-
-impl<P> Default for Fel<P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<P> Fel<P> {
-    /// Creates an empty FEL with the default implementation
-    /// ([`FelImpl::Ladder`]).
-    pub fn new() -> Self {
-        Fel::with_impl(FelImpl::default())
-    }
-
-    /// Creates an empty FEL backed by the given implementation.
-    pub fn with_impl(imp: FelImpl) -> Self {
-        Fel {
-            repr: match imp {
-                FelImpl::BinaryHeap => Repr::Heap(BinaryHeap::new()),
-                FelImpl::Ladder => Repr::Ladder(Ladder::new(0)),
-            },
-        }
-    }
-
-    /// Creates an empty FEL (default implementation) with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Fel {
-            repr: match FelImpl::default() {
-                FelImpl::BinaryHeap => Repr::Heap(BinaryHeap::with_capacity(cap)),
-                FelImpl::Ladder => Repr::Ladder(Ladder::new(cap)),
-            },
-        }
-    }
-
-    /// Which implementation backs this FEL.
-    pub fn backend(&self) -> FelImpl {
-        match &self.repr {
-            Repr::Heap(_) => FelImpl::BinaryHeap,
-            Repr::Ladder(_) => FelImpl::Ladder,
-        }
-    }
-
-    /// Inserts an event.
-    ///
-    /// The FEL insert is the simulator's allocation chokepoint, which makes
-    /// it the natural site for the simulated-OOM fault hook: an armed
-    /// [`crate::fault::FaultKind::AllocFail`] panics here as if the backing
-    /// allocation had failed (compiled out without `fault-inject`).
-    #[inline]
-    pub fn push(&mut self, ev: Event<P>) {
-        #[cfg(feature = "fault-inject")]
-        crate::fault::alloc_check();
-        match &mut self.repr {
-            Repr::Heap(h) => h.push(HeapEntry(ev)),
-            Repr::Ladder(l) => l.push(ev),
-        }
-    }
-
-    /// Bulk insert. For the ladder this is a straight routing pass (every
-    /// event is appended to its tier unsorted); sorting happens lazily on
-    /// pop — which is what makes the receive phase's batched
-    /// mailbox-to-FEL hand-off cheap.
-    pub fn extend(&mut self, events: impl IntoIterator<Item = Event<P>>) {
-        match &mut self.repr {
-            Repr::Heap(h) => h.extend(events.into_iter().map(HeapEntry)),
-            Repr::Ladder(l) => {
-                for ev in events {
-                    l.push(ev);
-                }
-            }
-        }
-    }
-
-    /// Removes and returns the event with the smallest key.
-    #[inline]
-    pub fn pop(&mut self) -> Option<Event<P>> {
-        match &mut self.repr {
-            Repr::Heap(h) => h.pop().map(|e| e.0),
-            Repr::Ladder(l) => l.pop(),
-        }
-    }
-
-    /// Timestamp of the next event, or [`Time::MAX`] when empty.
-    #[inline]
-    pub fn next_ts(&self) -> Time {
-        match &self.repr {
-            Repr::Heap(h) => h.peek().map_or(Time::MAX, |e| e.0.key.ts),
-            Repr::Ladder(l) => l.next_ts(),
-        }
-    }
-
-    /// Key of the next event, if any.
-    #[inline]
-    pub fn peek_key(&self) -> Option<EventKey> {
-        match &self.repr {
-            Repr::Heap(h) => h.peek().map(|e| e.0.key),
-            Repr::Ladder(l) => l.peek_key(),
-        }
-    }
-
-    /// Removes and returns the next event only if its timestamp is strictly
-    /// below `bound`.
-    #[inline]
-    pub fn pop_below(&mut self, bound: Time) -> Option<Event<P>> {
-        match &mut self.repr {
-            Repr::Heap(h) => {
-                if h.peek().is_some_and(|e| e.0.key.ts < bound) {
-                    h.pop().map(|e| e.0)
-                } else {
-                    None
-                }
-            }
-            // Native: decides from tier lower bounds, never a bucket scan.
-            Repr::Ladder(l) => l.pop_below(bound),
-        }
-    }
-
     /// Number of stored events.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Heap(h) => h.len(),
-            Repr::Ladder(l) => l.len,
-        }
+        self.len
     }
 
     /// Whether the FEL holds no events.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Number of stored events with timestamp strictly below `bound`.
@@ -764,34 +615,20 @@ impl<P> Fel<P> {
     /// Used by the `ByPendingEvents` scheduling metric; linear in the FEL
     /// size.
     pub fn count_below(&self, bound: Time) -> usize {
-        match &self.repr {
-            Repr::Heap(h) => h.iter().filter(|e| e.0.key.ts < bound).count(),
-            Repr::Ladder(l) => l.iter().filter(|e| e.key.ts < bound).count(),
-        }
+        self.iter().filter(|e| e.key.ts < bound).count()
     }
 
-    /// Iterates over all stored events in *unspecified* order (heap/tier
-    /// order).
+    /// Iterates over all stored events in *unspecified* (tier) order.
     ///
     /// Checkpointing sorts the yielded events by key before writing them, so
-    /// the on-disk image is independent of both the storage layout and the
-    /// configured [`FelImpl`] (DESIGN.md §4.4: canonical snapshot order).
+    /// the on-disk image is independent of the storage layout (DESIGN.md
+    /// §4.4: canonical snapshot order).
     pub fn iter(&self) -> impl Iterator<Item = &Event<P>> {
-        // Unify the two iterator types through a boxed trait object; the
-        // callers (checkpointing, diagnostics, `count_below`) are cold.
-        let it: Box<dyn Iterator<Item = &Event<P>>> = match &self.repr {
-            Repr::Heap(h) => Box::new(h.iter().map(|e| &e.0)),
-            Repr::Ladder(l) => Box::new(l.iter()),
-        };
-        it
-    }
-
-    /// Drops all events (used on kernel teardown).
-    pub fn clear(&mut self) {
-        match &mut self.repr {
-            Repr::Heap(h) => h.clear(),
-            Repr::Ladder(l) => l.clear(),
-        }
+        self.bottom
+            .iter()
+            .chain(self.stage.iter())
+            .chain(self.rungs.iter().flat_map(|r| r.buckets.iter().flatten()))
+            .chain(self.overflow.iter())
     }
 }
 
@@ -813,91 +650,66 @@ mod tests {
         }
     }
 
-    fn both() -> [Fel<u64>; 2] {
-        [
-            Fel::with_impl(FelImpl::BinaryHeap),
-            Fel::with_impl(FelImpl::Ladder),
-        ]
-    }
-
-    #[test]
-    fn default_backend_is_ladder() {
-        assert_eq!(Fel::<u64>::new().backend(), FelImpl::Ladder);
-        assert_eq!(Fel::<u64>::with_capacity(8).backend(), FelImpl::Ladder);
-        assert_eq!(
-            Fel::<u64>::with_impl(FelImpl::BinaryHeap).backend(),
-            FelImpl::BinaryHeap
-        );
-        assert_eq!(FelImpl::Ladder.name(), "ladder");
-        assert_eq!(FelImpl::BinaryHeap.name(), "binary-heap");
-    }
-
     #[test]
     fn pops_in_key_order() {
-        for mut fel in both() {
-            fel.push(ev(5, 0, 0));
-            fel.push(ev(1, 0, 1));
-            fel.push(ev(3, 0, 2));
-            let order: Vec<u64> = std::iter::from_fn(|| fel.pop().map(|e| e.ts().0)).collect();
-            assert_eq!(order, vec![1, 3, 5]);
-        }
+        let mut fel: Fel<u64> = Fel::new();
+        fel.push(ev(5, 0, 0));
+        fel.push(ev(1, 0, 1));
+        fel.push(ev(3, 0, 2));
+        let order: Vec<u64> = std::iter::from_fn(|| fel.pop().map(|e| e.ts().0)).collect();
+        assert_eq!(order, vec![1, 3, 5]);
     }
 
     #[test]
     fn simultaneous_events_use_tie_break() {
-        for mut fel in both() {
-            fel.push(ev(7, 2, 9));
-            fel.push(ev(7, 1, 3));
-            fel.push(ev(7, 1, 2));
-            assert_eq!(fel.pop().unwrap().key.seq, 2);
-            // A tie pushed after the first pop still orders by key; for the
-            // ladder it lands on the last timestamp below the horizon of
-            // the small re-prime that pop performed.
-            fel.push(ev(7, 0, 5));
-            assert_eq!(fel.pop().unwrap().key.sender_lp, LpId(0));
-            assert_eq!(fel.pop().unwrap().key.seq, 3);
-            assert_eq!(fel.pop().unwrap().key.sender_lp, LpId(2));
-        }
+        let mut fel: Fel<u64> = Fel::new();
+        fel.push(ev(7, 2, 9));
+        fel.push(ev(7, 1, 3));
+        fel.push(ev(7, 1, 2));
+        assert_eq!(fel.pop().unwrap().key.seq, 2);
+        // A tie pushed after the first pop still orders by key; it lands
+        // on the last timestamp below the horizon of the small re-prime
+        // that pop performed.
+        fel.push(ev(7, 0, 5));
+        assert_eq!(fel.pop().unwrap().key.sender_lp, LpId(0));
+        assert_eq!(fel.pop().unwrap().key.seq, 3);
+        assert_eq!(fel.pop().unwrap().key.sender_lp, LpId(2));
     }
 
     #[test]
     fn next_ts_of_empty_is_max() {
-        for fel in both() {
-            assert_eq!(fel.next_ts(), Time::MAX);
-            assert_eq!(fel.peek_key(), None);
-        }
+        let fel: Fel<u64> = Fel::new();
+        assert_eq!(fel.next_ts(), Time::MAX);
+        assert_eq!(fel.peek_key(), None);
     }
 
     #[test]
     fn pop_below_respects_bound() {
-        for mut fel in both() {
-            fel.push(ev(10, 0, 0));
-            assert!(fel.pop_below(Time(10)).is_none());
-            assert!(fel.pop_below(Time(11)).is_some());
-        }
+        let mut fel: Fel<u64> = Fel::new();
+        fel.push(ev(10, 0, 0));
+        assert!(fel.pop_below(Time(10)).is_none());
+        assert!(fel.pop_below(Time(11)).is_some());
     }
 
     #[test]
     fn count_below() {
-        for mut fel in both() {
-            for t in [1u64, 5, 9, 13] {
-                fel.push(ev(t, 0, t));
-            }
-            assert_eq!(fel.count_below(Time(9)), 2);
-            assert_eq!(fel.count_below(Time(100)), 4);
-            assert_eq!(fel.count_below(Time(0)), 0);
+        let mut fel: Fel<u64> = Fel::new();
+        for t in [1u64, 5, 9, 13] {
+            fel.push(ev(t, 0, t));
         }
+        assert_eq!(fel.count_below(Time(9)), 2);
+        assert_eq!(fel.count_below(Time(100)), 4);
+        assert_eq!(fel.count_below(Time(0)), 0);
     }
 
     #[test]
     fn extend_matches_push() {
-        for mut fel in both() {
-            fel.extend((0..50u64).rev().map(|t| ev(t, 0, t)));
-            fel.extend((50..100u64).map(|t| ev(t, 0, t)));
-            assert_eq!(fel.len(), 100);
-            let order: Vec<u64> = std::iter::from_fn(|| fel.pop().map(|e| e.ts().0)).collect();
-            assert_eq!(order, (0..100u64).collect::<Vec<_>>());
-        }
+        let mut fel: Fel<u64> = Fel::new();
+        fel.extend((0..50u64).rev().map(|t| ev(t, 0, t)));
+        fel.extend((50..100u64).map(|t| ev(t, 0, t)));
+        assert_eq!(fel.len(), 100);
+        let order: Vec<u64> = std::iter::from_fn(|| fel.pop().map(|e| e.ts().0)).collect();
+        assert_eq!(order, (0..100u64).collect::<Vec<_>>());
     }
 
     /// Windowed drain interleaved with pushes — the kernels' actual access
@@ -905,34 +717,33 @@ mod tests {
     #[test]
     fn windowed_drain_interleaved_with_pushes() {
         let mut rng = crate::rng::Rng::new(42);
-        for mut fel in both() {
-            let mut expected: Vec<EventKey> = Vec::new();
-            let mut seq = 0u64;
-            for _ in 0..20 {
-                for _ in 0..50 {
-                    let ts = rng.next_below(100_000);
-                    let e = ev(ts, (seq % 5) as u32, seq);
-                    expected.push(e.key);
-                    fel.push(e);
-                    seq += 1;
-                }
-                let bound = Time(rng.next_below(120_000));
-                while let Some(e) = fel.pop_below(bound) {
-                    assert!(e.key.ts < bound);
-                }
+        let mut fel: Fel<u64> = Fel::new();
+        let mut expected: Vec<EventKey> = Vec::new();
+        let mut seq = 0u64;
+        for _ in 0..20 {
+            for _ in 0..50 {
+                let ts = rng.next_below(100_000);
+                let e = ev(ts, (seq % 5) as u32, seq);
+                expected.push(e.key);
+                fel.push(e);
+                seq += 1;
             }
-            // Drain the rest; total pop order must be the sorted key order.
-            let mut popped: Vec<EventKey> = Vec::new();
-            // Replay: collect everything popped so far by re-running is
-            // complex; instead verify the remaining pops are sorted and the
-            // total count matches.
-            while let Some(e) = fel.pop() {
-                popped.push(e.key);
+            let bound = Time(rng.next_below(120_000));
+            while let Some(e) = fel.pop_below(bound) {
+                assert!(e.key.ts < bound);
             }
-            assert!(popped.windows(2).all(|w| w[0] < w[1]));
-            assert!(fel.is_empty());
-            assert_eq!(fel.next_ts(), Time::MAX);
         }
+        // Drain the rest; total pop order must be the sorted key order.
+        let mut popped: Vec<EventKey> = Vec::new();
+        // Replay: collect everything popped so far by re-running is
+        // complex; instead verify the remaining pops are sorted and the
+        // total count matches.
+        while let Some(e) = fel.pop() {
+            popped.push(e.key);
+        }
+        assert!(popped.windows(2).all(|w| w[0] < w[1]));
+        assert!(fel.is_empty());
+        assert_eq!(fel.next_ts(), Time::MAX);
     }
 
     /// The ladder's far-future tier: events clustered now plus a lone
@@ -940,7 +751,7 @@ mod tests {
     /// order across multiple re-primes.
     #[test]
     fn ladder_far_outlier_pops_in_order() {
-        let mut fel: Fel<u64> = Fel::with_impl(FelImpl::Ladder);
+        let mut fel: Fel<u64> = Fel::new();
         fel.push(ev(u64::MAX / 2, 0, 999));
         for t in 0..100u64 {
             fel.push(ev(t, 0, t));
@@ -965,7 +776,7 @@ mod tests {
     #[test]
     fn ladder_pool_is_bounded_across_reprimes() {
         let mut rng = crate::rng::Rng::new(11);
-        let mut l: Ladder<u64> = Ladder::new(0);
+        let mut l: Fel<u64> = Fel::new();
         let mut seq = 0u64;
         for cycle in 0..10_000u64 {
             // Every batch lies past the previous horizon, so it lands in
@@ -986,36 +797,19 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_all_tiers() {
-        for mut fel in both() {
-            for t in 0..100u64 {
-                fel.push(ev(t * 1_000, 0, t));
-            }
-            fel.pop();
-            fel.clear();
-            assert!(fel.is_empty());
-            assert_eq!(fel.len(), 0);
-            assert_eq!(fel.next_ts(), Time::MAX);
-            fel.push(ev(7, 0, 0));
-            assert_eq!(fel.pop().unwrap().key.ts, Time(7));
-        }
-    }
-
-    #[test]
     fn iter_yields_every_event_once() {
-        for mut fel in both() {
-            for t in 0..200u64 {
-                fel.push(ev(t * 997 % 50_000, 0, t));
-            }
-            // Pop a few to move the ladder cursor, then check iter coverage.
-            for _ in 0..20 {
-                fel.pop();
-            }
-            let mut seqs: Vec<u64> = fel.iter().map(|e| e.key.seq).collect();
-            seqs.sort_unstable();
-            assert_eq!(seqs.len(), 180);
-            seqs.dedup();
-            assert_eq!(seqs.len(), 180, "iter must not duplicate events");
+        let mut fel: Fel<u64> = Fel::new();
+        for t in 0..200u64 {
+            fel.push(ev(t * 997 % 50_000, 0, t));
         }
+        // Pop a few to move the ladder cursor, then check iter coverage.
+        for _ in 0..20 {
+            fel.pop();
+        }
+        let mut seqs: Vec<u64> = fel.iter().map(|e| e.key.seq).collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs.len(), 180);
+        seqs.dedup();
+        assert_eq!(seqs.len(), 180, "iter must not duplicate events");
     }
 }

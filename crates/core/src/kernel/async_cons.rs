@@ -302,7 +302,7 @@ pub(super) fn run<N: SimNode>(
     let mut partition = build_partition(&world, &cfg.partition)?;
     let channels = partition.lp_channels(&world.graph);
     let (lps, dir, mut graph, init_globals, stop_at, restored_ext_seq) =
-        build_lps(world, &partition, cfg.fel);
+        build_lps(world, &partition);
     let lp_count = lps.len();
     if lp_count == 0 {
         return Err(KernelError::InvalidPartition("world has no nodes".into()).into());
@@ -410,7 +410,7 @@ pub(super) fn run<N: SimNode>(
 
     // Public LP: init globals plus the stop global, keyed from the external
     // sequence (continuing a restored checkpoint's counter).
-    let mut public: Fel<GlobalFn<N>> = Fel::with_impl(cfg.fel);
+    let mut public: Fel<GlobalFn<N>> = Fel::new();
     let mut ext_seq: u64 = restored_ext_seq;
     for (ts, f) in init_globals {
         public.push(Event {
@@ -1121,9 +1121,9 @@ pub(super) fn run<N: SimNode>(
         psm_per_lp: false,
         lp_totals,
         engine: EngineStats {
-            fel_impl: cfg.fel,
             pool_hits: pool_hits as u64,
             pool_misses: pool_misses as u64,
+            ..EngineStats::default()
         },
         sched: SchedStats::default(),
         rounds_profile: None,

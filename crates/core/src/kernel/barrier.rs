@@ -129,8 +129,7 @@ pub(super) fn run<N: SimNode>(
         return Err(KernelError::GlobalEventsUnsupported("barrier").into());
     }
     let partition = build_partition(&world, &cfg.partition)?;
-    let (lps, dir, graph, _globals, stop_at, _restored_ext_seq) =
-        build_lps(world, &partition, cfg.fel);
+    let (lps, dir, graph, _globals, stop_at, _restored_ext_seq) = build_lps(world, &partition);
     let lp_count = lps.len();
     if lp_count == 0 {
         return Err(KernelError::InvalidPartition("world has no nodes".into()).into());
@@ -435,13 +434,9 @@ pub(super) fn run<N: SimNode>(
         psm,
         psm_per_lp: true,
         lp_totals,
-        engine: EngineStats {
-            fel_impl: cfg.fel,
-            // The shared inboxes have multiple concurrent producers, so
-            // this kernel keeps the plain allocating push (no pool).
-            pool_hits: 0,
-            pool_misses: 0,
-        },
+        // The shared inboxes have multiple concurrent producers, so this
+        // kernel keeps the plain allocating push (no pool).
+        engine: EngineStats::default(),
         sched: SchedStats::default(),
         rounds_profile,
         telemetry: telctx.collect(tels, sched_log),

@@ -28,7 +28,7 @@ use crate::error::SimError;
 
 use crate::event::{Event, EventKey, LpId, NodeId};
 use crate::fault::FaultPlan;
-use crate::fel::{Fel, FelImpl};
+use crate::fel::Fel;
 use crate::global::GlobalFn;
 use crate::lp::{LpState, PendingGlobal};
 use crate::mailbox::Mailboxes;
@@ -164,10 +164,6 @@ pub struct RunConfig {
     /// Span/decision telemetry recording (disabled by default; see
     /// DESIGN.md §4.3).
     pub telemetry: TelemetryConfig,
-    /// FEL implementation (default: the ladder queue). Pop order — and
-    /// therefore every digest — is identical for all implementations; the
-    /// switch exists for A/B benchmarking (DESIGN.md §4.4).
-    pub fel: FelImpl,
     /// Deterministic fault-injection plan (default: empty). Inert unless
     /// the `fault-inject` cargo feature compiled the kernel hooks in; see
     /// DESIGN.md §4.7.
@@ -190,7 +186,6 @@ impl RunConfig {
             metrics: MetricsLevel::Summary,
             watchdog: WatchdogConfig::default(),
             telemetry: TelemetryConfig::default(),
-            fel: FelImpl::default(),
             fault: FaultPlan::default(),
         }
     }
@@ -204,7 +199,6 @@ impl RunConfig {
             metrics: MetricsLevel::Summary,
             watchdog: WatchdogConfig::default(),
             telemetry: TelemetryConfig::default(),
-            fel: FelImpl::default(),
             fault: FaultPlan::default(),
         }
     }
@@ -220,7 +214,6 @@ impl RunConfig {
             metrics: MetricsLevel::Summary,
             watchdog: WatchdogConfig::default(),
             telemetry: TelemetryConfig::default(),
-            fel: FelImpl::default(),
             fault: FaultPlan::default(),
         }
     }
@@ -234,7 +227,6 @@ impl RunConfig {
             metrics: MetricsLevel::Summary,
             watchdog: WatchdogConfig::default(),
             telemetry: TelemetryConfig::default(),
-            fel: FelImpl::default(),
             fault: FaultPlan::default(),
         }
     }
@@ -248,7 +240,6 @@ impl RunConfig {
             metrics: MetricsLevel::Summary,
             watchdog: WatchdogConfig::default(),
             telemetry: TelemetryConfig::default(),
-            fel: FelImpl::default(),
             fault: FaultPlan::default(),
         }
     }
@@ -310,13 +301,6 @@ impl RunConfig {
     /// Overrides the full telemetry configuration.
     pub fn with_telemetry_config(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Selects the FEL implementation (A/B switch; results are bit-identical
-    /// either way).
-    pub fn with_fel(mut self, fel: FelImpl) -> Self {
-        self.fel = fel;
         self
     }
 
@@ -436,11 +420,7 @@ pub(crate) type BuiltLps<N> = (
 );
 
 /// Distributes a world's nodes and initial events into per-LP states.
-pub(crate) fn build_lps<N: SimNode>(
-    world: World<N>,
-    partition: &Partition,
-    fel_impl: FelImpl,
-) -> BuiltLps<N> {
+pub(crate) fn build_lps<N: SimNode>(world: World<N>, partition: &Partition) -> BuiltLps<N> {
     let World {
         nodes,
         graph,
@@ -452,7 +432,7 @@ pub(crate) fn build_lps<N: SimNode>(
     } = world;
     let directory = NodeDirectory::from_lp_nodes(nodes.len(), &partition.lp_nodes);
     let mut lps: Vec<LpState<N>> = (0..partition.lp_count)
-        .map(|i| LpState::with_fel(LpId(i), fel_impl))
+        .map(|i| LpState::new(LpId(i)))
         .collect();
     // Nodes move into their LPs in ascending node order (matching
     // `Partition::lp_nodes` and the directory's local indices).

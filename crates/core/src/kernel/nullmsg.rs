@@ -78,8 +78,7 @@ pub(super) fn run<N: SimNode>(
     }
     let partition = build_partition(&world, &cfg.partition)?;
     let channels = partition.lp_channels(&world.graph);
-    let (lps, dir, graph, _globals, stop_at, _restored_ext_seq) =
-        build_lps(world, &partition, cfg.fel);
+    let (lps, dir, graph, _globals, stop_at, _restored_ext_seq) = build_lps(world, &partition);
     let lp_count = lps.len();
     if lp_count == 0 {
         return Err(KernelError::InvalidPartition("world has no nodes".into()).into());
@@ -463,12 +462,8 @@ pub(super) fn run<N: SimNode>(
         psm,
         psm_per_lp: true,
         lp_totals,
-        engine: EngineStats {
-            fel_impl: cfg.fel,
-            // Shared inboxes (multiple concurrent producers): no pool.
-            pool_hits: 0,
-            pool_misses: 0,
-        },
+        // Shared inboxes (multiple concurrent producers): no pool.
+        engine: EngineStats::default(),
         sched: SchedStats::default(),
         rounds_profile: None,
         telemetry: telctx.collect(tels, sched_log),

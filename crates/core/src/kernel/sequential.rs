@@ -113,12 +113,12 @@ pub(super) fn run<N: SimNode>(
     };
     let mut partition = build_partition(&world, &cfg.partition)?;
     let (lps, dir, mut graph, init_globals, stop_at, restored_ext_seq) =
-        build_lps(world, &partition, cfg.fel);
+        build_lps(world, &partition);
     let lp_count = lps.len();
 
     // Pull all initial events out of the per-LP FELs into the global FEL.
     let mut lps = lps;
-    let mut fel: Fel<N::Payload> = Fel::with_impl(cfg.fel);
+    let mut fel: Fel<N::Payload> = Fel::new();
     for lp in &mut lps {
         while let Some(ev) = lp.fel.pop() {
             fel.push(ev);
@@ -137,7 +137,7 @@ pub(super) fn run<N: SimNode>(
     slots.begin_phase();
 
     // Public LP: global events, including the kernel-inserted stop event.
-    let mut public: Fel<GlobalFn<N>> = Fel::with_impl(cfg.fel);
+    let mut public: Fel<GlobalFn<N>> = Fel::new();
     let mut ext_seq: u64 = restored_ext_seq;
     for (ts, f) in init_globals {
         public.push(Event {
@@ -329,12 +329,8 @@ pub(super) fn run<N: SimNode>(
         }],
         psm_per_lp: false,
         lp_totals,
-        engine: EngineStats {
-            fel_impl: cfg.fel,
-            // Single-threaded: no cross-LP mailboxes, hence no pool.
-            pool_hits: 0,
-            pool_misses: 0,
-        },
+        // Single-threaded: no cross-LP mailboxes, hence no pool.
+        engine: EngineStats::default(),
         sched: SchedStats::default(),
         rounds_profile: None,
         telemetry: telctx.collect(vec![tel], sched_log),

@@ -135,7 +135,7 @@ pub(super) fn run_grouped<N: SimNode>(
 ) -> Result<(World<N>, RunReport), SimError> {
     let mut partition = build_partition(&world, &cfg.partition)?;
     let (lps, dir, mut graph, init_globals, stop_at, restored_ext_seq) =
-        build_lps(world, &partition, cfg.fel);
+        build_lps(world, &partition);
     let lp_count = lps.len();
     if lp_count == 0 {
         return Err(KernelError::InvalidPartition("world has no nodes".into()).into());
@@ -158,7 +158,7 @@ pub(super) fn run_grouped<N: SimNode>(
 
     // Public LP. The external sequence counter continues from a restored
     // checkpoint's value (0 for a fresh world).
-    let mut public: Fel<GlobalFn<N>> = Fel::with_impl(cfg.fel);
+    let mut public: Fel<GlobalFn<N>> = Fel::new();
     let mut ext_seq: u64 = restored_ext_seq;
     for (ts, f) in init_globals {
         public.push(Event {
@@ -1033,9 +1033,9 @@ pub(super) fn run_grouped<N: SimNode>(
         psm_per_lp: false,
         lp_totals,
         engine: EngineStats {
-            fel_impl: cfg.fel,
             pool_hits: pool_hits as u64,
             pool_misses: pool_misses as u64,
+            ..EngineStats::default()
         },
         sched: sched_stats,
         rounds_profile,

@@ -67,18 +67,12 @@ pub struct LpState<N: SimNode> {
 }
 
 impl<N: SimNode> LpState<N> {
-    /// Creates an empty LP with the default FEL implementation.
+    /// Creates an empty LP.
     pub fn new(id: LpId) -> Self {
-        Self::with_fel(id, crate::fel::FelImpl::default())
-    }
-
-    /// Creates an empty LP whose FEL is backed by `fel_impl`
-    /// (`RunConfig::fel`).
-    pub fn with_fel(id: LpId, fel_impl: crate::fel::FelImpl) -> Self {
         LpState {
             id,
             nodes: Vec::new(),
-            fel: Fel::with_impl(fel_impl),
+            fel: Fel::new(),
             seq: 0,
             outflow: Vec::new(),
             pending_globals: Vec::new(),

@@ -122,7 +122,8 @@ pub struct LpTotals {
 /// node pool absorbed cross-LP traffic.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineStats {
-    /// FEL implementation the run was configured with.
+    /// FEL implementation that executed the run (always the ladder; kept
+    /// so reports keep naming it).
     pub fel_impl: FelImpl,
     /// Cross-LP sends that reused a pooled mailbox node.
     pub pool_hits: u64,

@@ -11,9 +11,9 @@
 use std::path::PathBuf;
 
 use unison_core::{
-    checkpoint, kernel, snapshot_struct, CheckpointConfig, FelImpl, KernelKind, MetricsLevel,
-    NodeId, PartitionMode, Rng, RunConfig, SchedConfig, SchedMetric, SimCtx, SimError, SimNode,
-    Time, WorldBuilder,
+    checkpoint, kernel, snapshot_struct, CheckpointConfig, KernelKind, MetricsLevel, NodeId,
+    PartitionMode, Rng, RunConfig, SchedConfig, SchedMetric, SimCtx, SimError, SimNode, Time,
+    WorldBuilder,
 };
 
 /// A token with its own deterministic randomness (same model as the
@@ -111,7 +111,6 @@ fn cfg(threads: usize, metric: SchedMetric) -> RunConfig {
         },
         metrics: MetricsLevel::Summary,
         telemetry: Default::default(),
-        fel: Default::default(),
         watchdog: Default::default(),
         fault: Default::default(),
     }
@@ -167,60 +166,6 @@ fn resume_is_bit_identical_across_threads_and_metrics() {
                     digest(&w_res),
                     ref_digest,
                     "resume from t={t} at {threads} threads diverged ({metric:?})"
-                );
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-#[test]
-fn resume_is_bit_identical_across_fel_impls() {
-    // The snapshot format is FEL-implementation-independent (events are
-    // canonically sorted by key before encoding, DESIGN.md §4.4): a
-    // checkpoint written by a heap-FEL run must resume under a ladder-FEL
-    // run to the exact same digest, and vice versa.
-    let metric = SchedMetric::ByLastRoundTime;
-    let (w_ref, _) = kernel::try_run(ring_world(STOP), &cfg(2, metric)).unwrap();
-    let ref_digest = digest(&w_ref);
-
-    for (writer, resumer) in [
-        (FelImpl::BinaryHeap, FelImpl::Ladder),
-        (FelImpl::Ladder, FelImpl::BinaryHeap),
-    ] {
-        let dir = ckpt_dir(&format!("xfel-{}", writer.name()));
-        let ck = CheckpointConfig::new(EVERY, &dir);
-        let mut world = ring_world(STOP);
-        checkpoint::schedule_checkpoints(&mut world, &ck);
-        let wcfg = RunConfig {
-            fel: writer,
-            ..cfg(2, metric)
-        };
-        let (w_ck, _) = kernel::try_run(world, &wcfg).unwrap();
-        assert_eq!(
-            digest(&w_ck),
-            ref_digest,
-            "{} run diverged from the default-FEL reference",
-            writer.name()
-        );
-
-        for t in [150_000u64, 300_000, 450_000] {
-            let path = ck.file_at(Time(t));
-            assert!(path.exists(), "missing checkpoint {path:?}");
-            for threads in [1usize, 2, 4] {
-                let resumed = checkpoint::resume::<Router>(&path, None).unwrap();
-                let rcfg = RunConfig {
-                    partition: PartitionMode::Manual(resumed.assignment.clone()),
-                    fel: resumer,
-                    ..cfg(threads, metric)
-                };
-                let (w_res, _) = kernel::try_run(resumed.world, &rcfg).unwrap();
-                assert_eq!(
-                    digest(&w_res),
-                    ref_digest,
-                    "{} snapshot resumed under {} diverged at t={t}, {threads} threads",
-                    writer.name(),
-                    resumer.name()
                 );
             }
         }

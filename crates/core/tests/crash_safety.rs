@@ -246,7 +246,6 @@ fn async_cons_zero_lookahead_deadlock_detected() {
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
         telemetry: Default::default(),
-        fel: Default::default(),
         watchdog: Default::default(),
         fault: Default::default(),
     }
@@ -426,7 +425,6 @@ fn world_cfg(kernel: KernelKind) -> RunConfig {
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
         telemetry: Default::default(),
-        fel: Default::default(),
         watchdog: Default::default(),
         fault: Default::default(),
     }

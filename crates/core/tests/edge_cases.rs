@@ -85,7 +85,6 @@ fn single_lp_barrier_kernel_degenerates_gracefully() {
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
         telemetry: Default::default(),
-        fel: Default::default(),
         fault: Default::default(),
     };
     let (_, report) = kernel::run(world, &cfg).unwrap();
@@ -114,7 +113,6 @@ fn hybrid_clamps_host_count_to_lps() {
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
         telemetry: Default::default(),
-        fel: Default::default(),
     };
     // One node -> one LP -> hosts clamp to 1.
     let (_, report) = kernel::run(one_node_world(5), &cfg).unwrap();
@@ -130,7 +128,6 @@ fn manual_partition_wrong_length_is_rejected() {
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
         telemetry: Default::default(),
-        fel: Default::default(),
         fault: Default::default(),
     };
     let err = match kernel::run(one_node_world(1), &cfg) {

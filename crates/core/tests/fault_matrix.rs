@@ -118,7 +118,6 @@ fn cfg(kernel: KernelKind) -> RunConfig {
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
         telemetry: Default::default(),
-        fel: Default::default(),
         watchdog: Default::default(),
         fault: Default::default(),
     }

@@ -118,7 +118,6 @@ fn unison_matches_compat_sequential_bitwise() {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             telemetry: Default::default(),
-            fel: Default::default(),
             fault: Default::default(),
         },
     )
@@ -170,7 +169,6 @@ fn all_kernels_agree_on_event_totals() {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             telemetry: Default::default(),
-            fel: Default::default(),
         },
     )
     .unwrap();
@@ -201,7 +199,6 @@ fn hybrid_matches_unison_bitwise() {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             telemetry: Default::default(),
-            fel: Default::default(),
         },
     )
     .unwrap();
@@ -405,7 +402,6 @@ fn manual_partition_controls_lp_count() {
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
         telemetry: Default::default(),
-        fel: Default::default(),
         fault: Default::default(),
     };
     let (_, report) = kernel::run(ring_world(N, DELAY, TOKENS, STOP), &cfg).unwrap();
@@ -424,7 +420,6 @@ fn partition_bound_sweeps_granularity() {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             telemetry: Default::default(),
-            fel: Default::default(),
             fault: Default::default(),
         };
         let (_, report) = kernel::run(ring_world(N, DELAY, TOKENS, STOP), &cfg).unwrap();
@@ -479,7 +474,6 @@ fn psm_indexing_matches_kernel_family() {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             telemetry: Default::default(),
-            fel: Default::default(),
         },
     )
     .unwrap();

@@ -1,12 +1,14 @@
 //! Property-based tests of the kernel's core data structures and
 //! invariants.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use unison_core::sched::{ideal_makespan, lpt_makespan, order_by_estimate};
 use unison_core::{
-    fine_grained_partition, BalancedRefine, Event, EventKey, Fel, FelImpl, LinkGraph, LpId,
-    MedianCut, NodeId, PartitionPipeline, Partitioner, Rng, Time,
+    fine_grained_partition, BalancedRefine, Event, EventKey, Fel, LinkGraph, LpId, MedianCut,
+    NodeId, PartitionPipeline, Partitioner, Rng, Time,
 };
 
 /// Builds an arbitrary multigraph on `n` nodes from raw edge tuples
@@ -40,16 +42,6 @@ enum FelOp {
     Extend(Vec<EventKey>),
     PopBelow(u64),
     PopN(usize),
-}
-
-/// Duplicates an event (the payload type here is `Copy`; `Event` itself is
-/// move-only because payloads generally are not).
-fn dup(ev: &Event<u64>) -> Event<u64> {
-    Event {
-        key: ev.key,
-        node: ev.node,
-        payload: ev.payload,
-    }
 }
 
 /// Comparable identity of a popped event.
@@ -123,25 +115,26 @@ proptest! {
         prop_assert_eq!(n, expected);
     }
 
-    /// Differential suite for the two FEL implementations (DESIGN.md §4.4):
-    /// under an arbitrary interleaving of single pushes, bulk `extend`
-    /// batches (external and internal tie-break keys alike), far-future
-    /// outliers, and bounded / unbounded pops, the ladder queue must
-    /// produce the exact pop sequence of the binary-heap reference — keys
-    /// *and* payloads — across small re-primes, fold-backs and rungs.
+    /// Differential suite for the ladder FEL (DESIGN.md §4.4): under an
+    /// arbitrary interleaving of single pushes, bulk `extend` batches
+    /// (external and internal tie-break keys alike), far-future outliers,
+    /// and bounded / unbounded pops, the ladder must produce the exact pop
+    /// sequence of a sorted-map reference — keys *and* payloads — across
+    /// small re-primes, fold-backs and rungs, and agree with it on every
+    /// query after every step.
     #[test]
-    fn ladder_matches_heap_reference(
+    fn ladder_matches_sorted_reference(
         ops in proptest::collection::vec(arb_op(), 0..150)
     ) {
-        let mut ladder: Fel<u64> = Fel::with_impl(FelImpl::Ladder);
-        let mut heap: Fel<u64> = Fel::with_impl(FelImpl::BinaryHeap);
+        let mut fel: Fel<u64> = Fel::new();
+        let mut oracle: BTreeMap<EventKey, u64> = BTreeMap::new();
         let mut payload = 0u64;
         let mut mk = |mut key: EventKey| {
             payload += 1;
             // Keys in the real system are unique (per-sender seq counters,
             // DESIGN.md §4.1); disambiguate generated duplicates the same
-            // way, since pop order among *equal* keys is unspecified in
-            // both implementations.
+            // way, since pop order among *equal* keys is unspecified (and
+            // the oracle's map would merge them).
             key.seq = key.seq * 100_000 + payload;
             Event { key, node: NodeId(0), payload }
         };
@@ -149,46 +142,52 @@ proptest! {
             match op {
                 FelOp::Push(k) => {
                     let ev = mk(k);
-                    ladder.push(dup(&ev));
-                    heap.push(ev);
+                    oracle.insert(ev.key, ev.payload);
+                    fel.push(ev);
                 }
                 FelOp::PushExternal(ts, seq) => {
                     let ev = mk(EventKey::external(Time(ts), seq));
-                    ladder.push(dup(&ev));
-                    heap.push(ev);
+                    oracle.insert(ev.key, ev.payload);
+                    fel.push(ev);
                 }
                 FelOp::Extend(keys) => {
                     let batch: Vec<Event<u64>> = keys.into_iter().map(&mut mk).collect();
-                    ladder.extend(batch.iter().map(dup));
-                    heap.extend(batch);
+                    oracle.extend(batch.iter().map(ident));
+                    fel.extend(batch);
                 }
                 FelOp::PopBelow(bound) => loop {
-                    let (l, h) = (ladder.pop_below(Time(bound)), heap.pop_below(Time(bound)));
-                    prop_assert_eq!(l.as_ref().map(ident), h.as_ref().map(ident));
-                    if h.is_none() {
+                    let want = match oracle.first_key_value() {
+                        Some((k, _)) if k.ts < Time(bound) => oracle.pop_first(),
+                        _ => None,
+                    };
+                    let got = fel.pop_below(Time(bound));
+                    prop_assert_eq!(got.as_ref().map(ident), want);
+                    if want.is_none() {
                         break;
                     }
                 },
                 FelOp::PopN(n) => {
                     for _ in 0..n {
-                        let (l, h) = (ladder.pop(), heap.pop());
-                        prop_assert_eq!(l.as_ref().map(ident), h.as_ref().map(ident));
+                        prop_assert_eq!(fel.pop().as_ref().map(ident), oracle.pop_first());
                     }
                 }
             }
-            prop_assert_eq!(ladder.len(), heap.len());
-            prop_assert_eq!(ladder.next_ts(), heap.next_ts());
-            prop_assert_eq!(ladder.peek_key(), heap.peek_key());
+            prop_assert_eq!(fel.len(), oracle.len());
             prop_assert_eq!(
-                ladder.count_below(Time(500)),
-                heap.count_below(Time(500))
+                fel.next_ts(),
+                oracle.first_key_value().map_or(Time::MAX, |(k, _)| k.ts)
+            );
+            prop_assert_eq!(fel.peek_key(), oracle.first_key_value().map(|(k, _)| *k));
+            prop_assert_eq!(
+                fel.count_below(Time(500)),
+                oracle.keys().filter(|k| k.ts < Time(500)).count()
             );
         }
         // Final full drain must agree too.
         loop {
-            let (l, h) = (ladder.pop(), heap.pop());
-            prop_assert_eq!(l.as_ref().map(ident), h.as_ref().map(ident));
-            if h.is_none() {
+            let want = oracle.pop_first();
+            prop_assert_eq!(fel.pop().as_ref().map(ident), want);
+            if want.is_none() {
                 break;
             }
         }

@@ -15,8 +15,8 @@
 //! partition exactly, so those two are digest-compatible — also asserted.
 
 use unison_core::{
-    kernel, FelImpl, FusionConfig, KernelKind, NodeId, PartitionMode, PartitionPipeline, Rng,
-    RunConfig, SchedConfig, SchedMetric, SchedPolicyKind, SimCtx, SimNode, Time, WorldBuilder,
+    kernel, FusionConfig, KernelKind, NodeId, PartitionMode, PartitionPipeline, Rng, RunConfig,
+    SchedConfig, SchedMetric, SchedPolicyKind, SimCtx, SimNode, Time, WorldBuilder,
 };
 
 /// A token with its own deterministic randomness (the kernels.rs model).
@@ -96,15 +96,6 @@ fn world() -> unison_core::World<Router> {
 type Digest = (Vec<(u64, u64)>, u64);
 
 fn run(kernel_kind: KernelKind, partition: PartitionMode, sched: SchedConfig) -> Digest {
-    run_fel(kernel_kind, partition, sched, FelImpl::default())
-}
-
-fn run_fel(
-    kernel_kind: KernelKind,
-    partition: PartitionMode,
-    sched: SchedConfig,
-    fel: FelImpl,
-) -> Digest {
     let (w, report) = kernel::run(
         world(),
         &RunConfig {
@@ -114,7 +105,6 @@ fn run_fel(
             sched,
             metrics: Default::default(),
             telemetry: Default::default(),
-            fel,
             fault: Default::default(),
         },
     )
@@ -286,7 +276,6 @@ fn steal_deque_reports_scheduler_activity() {
             },
             metrics: Default::default(),
             telemetry: Default::default(),
-            fel: Default::default(),
             fault: Default::default(),
         },
     )
@@ -308,7 +297,6 @@ fn steal_deque_reports_scheduler_activity() {
             sched: SchedConfig::default(),
             metrics: Default::default(),
             telemetry: Default::default(),
-            fel: Default::default(),
             fault: Default::default(),
         },
     )
@@ -320,7 +308,7 @@ fn steal_deque_reports_scheduler_activity() {
 }
 
 /// Round fusion is a pure scheduling optimization: for every
-/// {partitioner} × {threads} × {FEL} cell, the fusion-on digest is
+/// {partitioner} × {threads} cell, the fusion-on digest is
 /// bit-identical to the fusion-off digest (DESIGN.md §4.9 — a fused round
 /// runs the same four phases through the same mailbox commit path, just
 /// without waking the workers).
@@ -328,31 +316,24 @@ fn steal_deque_reports_scheduler_activity() {
 fn fusion_on_off_digests_are_bit_identical() {
     for (pname, pmode) in partitioners() {
         for threads in [1usize, 2, 4] {
-            for fel in [FelImpl::Ladder, FelImpl::BinaryHeap] {
-                let on = run_fel(
-                    KernelKind::Unison { threads },
-                    pmode.clone(),
-                    SchedConfig::default(),
-                    fel,
-                );
-                let off = run_fel(
-                    KernelKind::Unison { threads },
-                    pmode.clone(),
-                    SchedConfig {
-                        fusion: FusionConfig::off(),
-                        ..Default::default()
-                    },
-                    fel,
-                );
-                assert!(on.1 > 0, "{pname}: run executed no events");
-                assert_eq!(
-                    on,
-                    off,
-                    "fusion changed the digest: partitioner={pname} threads={threads} \
-                     fel={}",
-                    fel.name()
-                );
-            }
+            let on = run(
+                KernelKind::Unison { threads },
+                pmode.clone(),
+                SchedConfig::default(),
+            );
+            let off = run(
+                KernelKind::Unison { threads },
+                pmode.clone(),
+                SchedConfig {
+                    fusion: FusionConfig::off(),
+                    ..Default::default()
+                },
+            );
+            assert!(on.1 > 0, "{pname}: run executed no events");
+            assert_eq!(
+                on, off,
+                "fusion changed the digest: partitioner={pname} threads={threads}"
+            );
         }
     }
 }

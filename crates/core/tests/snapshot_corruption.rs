@@ -12,8 +12,7 @@ use proptest::prelude::*;
 
 use unison_core::checkpoint::{self, Resumed};
 use unison_core::{
-    manual_partition, snapshot_struct, FelImpl, NodeId, SimCtx, SimNode, SnapshotError, Time,
-    WorldBuilder,
+    manual_partition, snapshot_struct, NodeId, SimCtx, SimNode, SnapshotError, Time, WorldBuilder,
 };
 
 /// Minimal checkpointable model: enough state to populate every section
@@ -55,7 +54,7 @@ fn valid_bytes() -> &'static [u8] {
         let world = b.build();
         let partition = manual_partition(world.graph(), &[0, 0, 1, 1]);
         let path = tmp("corrupt-valid");
-        checkpoint::write_initial(world, &partition, FelImpl::default(), &path).expect("encode");
+        checkpoint::write_initial(world, &partition, &path).expect("encode");
         let bytes = std::fs::read(&path).expect("read back");
         std::fs::remove_file(&path).ok();
         bytes

@@ -108,7 +108,6 @@ fn unison_cfg(threads: usize, metric: SchedMetric, telemetry: TelemetryConfig) -
         },
         metrics: MetricsLevel::Summary,
         telemetry,
-        fel: Default::default(),
         fault: Default::default(),
     }
 }
@@ -141,7 +140,6 @@ fn telemetry_does_not_perturb_other_kernels() {
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
         telemetry,
-        fel: Default::default(),
         fault: Default::default(),
     };
     let kernels = [

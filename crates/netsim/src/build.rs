@@ -334,7 +334,6 @@ impl NetSim {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             telemetry: Default::default(),
-            fel: Default::default(),
             fault: Default::default(),
         })
         .expect("valid default configuration")

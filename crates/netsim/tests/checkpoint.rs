@@ -34,7 +34,6 @@ fn unison_cfg(threads: usize) -> RunConfig {
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
         telemetry: Default::default(),
-        fel: Default::default(),
         watchdog: Default::default(),
         fault: Default::default(),
     }

@@ -87,7 +87,6 @@ fn all_kernels_complete_the_same_flows() {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             telemetry: Default::default(),
-            fel: Default::default(),
             fault: Default::default(),
         })
         .unwrap();
@@ -99,7 +98,6 @@ fn all_kernels_complete_the_same_flows() {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             telemetry: Default::default(),
-            fel: Default::default(),
             fault: Default::default(),
         })
         .unwrap();
@@ -160,7 +158,6 @@ fn unison_matches_compat_sequential_on_network() {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             telemetry: Default::default(),
-            fel: Default::default(),
             fault: Default::default(),
         })
         .unwrap();

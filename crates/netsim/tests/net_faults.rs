@@ -30,7 +30,6 @@ fn cfg(kernel: KernelKind, nodes: usize) -> RunConfig {
         sched: SchedConfig::default(),
         metrics: MetricsLevel::Summary,
         telemetry: Default::default(),
-        fel: Default::default(),
         watchdog: Default::default(),
         fault: Default::default(),
     }

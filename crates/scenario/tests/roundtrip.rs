@@ -1,5 +1,5 @@
 //! Round-trip tests: scenario text → AST → `RunConfig`/`Topology`/
-//! `TrafficConfig`, for every kernel, partitioner, and FEL variant the
+//! `TrafficConfig`, for every kernel, partitioner, and scheduling knob the
 //! dialect can name. The builder-equivalence half (AST → `NetworkBuilder`
 //! vs. hand-assembled) lives in `crates/bench/tests/scenario_corpus.rs`,
 //! where netsim is in scope.
@@ -10,7 +10,7 @@ use unison_core::kernel::{KernelKind, PartitionMode};
 use unison_core::partition::PartitionPipeline;
 use unison_core::pin::PinPolicy;
 use unison_core::sched::{SchedMetric, SchedPolicyKind};
-use unison_core::{FelImpl, Time};
+use unison_core::Time;
 use unison_scenario::{parse_scenario, QueueSpec, RoutingSpec, ScenarioSpec, TrafficPattern};
 use unison_traffic::SizeDist;
 
@@ -137,16 +137,15 @@ fn every_partition_variant_maps() {
 }
 
 #[test]
-fn fel_sched_and_knobs_map() {
+fn sched_and_knobs_map() {
     let spec = with_run(
-        "kernel = \"unison\"\nthreads = 2\nfel = \"binary_heap\"\n\
+        "kernel = \"unison\"\nthreads = 2\n\
          sched_metric = \"by-pending-events\"\nsched_policy = \"steal-deque\"\n\
          sched_period = 4\nfusion_threshold = 64\npin = \"compact\"\n\
          watchdog_ms = 2000\nper_round_metrics = true",
     );
     let topo = spec.build_topology();
     let cfg = spec.run_config(&topo);
-    assert_eq!(cfg.fel, FelImpl::BinaryHeap);
     assert_eq!(cfg.sched.metric, SchedMetric::ByPendingEvents);
     assert_eq!(cfg.sched.policy, SchedPolicyKind::StealDeque);
     assert_eq!(cfg.sched.period, Some(4));
@@ -164,7 +163,6 @@ fn fel_sched_and_knobs_map() {
     // Defaults when the keys are absent.
     let spec = with_run("kernel = \"unison\"\nthreads = 2");
     let cfg = spec.run_config(&topo);
-    assert_eq!(cfg.fel, FelImpl::Ladder);
     assert_eq!(cfg.sched.metric, SchedMetric::ByLastRoundTime);
     assert_eq!(cfg.watchdog.round_deadline, None);
 }
@@ -331,6 +329,11 @@ threads = 2
     // Duplicate section.
     let e = parse_scenario(&format!("{ok}[run]\nstop_us = 1\nkernel = \"barrier\"\n")).unwrap_err();
     assert!(e.msg.contains("duplicate"), "{e}");
+    // The FEL backend switch is gone: a file that still sets it fails at
+    // the key, not silently.
+    let e = parse_scenario(&format!("{ok}fel = \"binary_heap\"\n")).unwrap_err();
+    assert!(e.msg.contains("unknown key `fel`"), "{e}");
+    assert_eq!((e.line, e.col), (11, 1), "{e}");
 }
 
 #[test]

@@ -118,7 +118,6 @@ fn main() -> ExitCode {
         sched: SchedConfig::default(),
         metrics: MetricsLevel::PerRound,
         telemetry: TelemetryConfig::enabled(),
-        fel: Default::default(),
     }) {
         Ok(r) => r,
         Err(e) => {

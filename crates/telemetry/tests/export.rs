@@ -33,7 +33,6 @@ fn run_profiled_sched(threads: usize, sched: SchedConfig) -> unison_core::RunRep
         sched,
         metrics: MetricsLevel::PerRound,
         telemetry: TelemetryConfig::enabled(),
-        fel: Default::default(),
         fault: Default::default(),
     })
     .expect("scenario run")
@@ -182,7 +181,6 @@ fn async_cons_report_and_trace_are_consistent() {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::Summary,
             telemetry: TelemetryConfig::enabled(),
-            fel: Default::default(),
             fault: Default::default(),
         })
         .expect("async scenario run")

@@ -34,7 +34,6 @@ fn main() {
             sched: SchedConfig::default(),
             metrics: MetricsLevel::PerRound,
             telemetry: Default::default(),
-            fel: Default::default(),
             fault: Default::default(),
         })
         .expect("profiled run")

@@ -26,7 +26,6 @@ fn run_sched(kernel: KernelKind, sched: SchedConfig) -> SimResult {
         sched,
         metrics: MetricsLevel::Summary,
         telemetry: Default::default(),
-        fel: Default::default(),
         fault: Default::default(),
     })
     .expect("run")

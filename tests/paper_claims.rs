@@ -32,7 +32,6 @@ fn profile(
             sched: SchedConfig::default(),
             metrics: MetricsLevel::PerRound,
             telemetry: Default::default(),
-            fel: Default::default(),
             fault: Default::default(),
         })
         .expect("profiled run");
@@ -191,7 +190,6 @@ fn claim_fine_granularity_improves_locality() {
                 sched: SchedConfig::default(),
                 metrics: MetricsLevel::Summary,
                 telemetry: Default::default(),
-                fel: Default::default(),
                 fault: Default::default(),
             })
             .expect("run");

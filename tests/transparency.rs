@@ -32,7 +32,6 @@ fn every_kernel_runs_the_same_model() {
                 sched: SchedConfig::default(),
                 metrics: MetricsLevel::Summary,
                 telemetry: Default::default(),
-                fel: Default::default(),
                 fault: Default::default(),
             },
         ),
@@ -49,7 +48,6 @@ fn every_kernel_runs_the_same_model() {
                 sched: SchedConfig::default(),
                 metrics: MetricsLevel::Summary,
                 telemetry: Default::default(),
-                fel: Default::default(),
                 fault: Default::default(),
             },
         ),
