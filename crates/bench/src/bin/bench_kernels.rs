@@ -1,6 +1,6 @@
 //! Kernel perf baseline: wall-clock and events/sec per kernel, thread
-//! count, partitioner, and scheduling policy on the fat-tree incast
-//! workload, emitted as machine-readable JSON.
+//! count and partitioner on the fat-tree incast workload, emitted as
+//! machine-readable JSON.
 //!
 //! ```sh
 //! cargo run --release -p unison-bench --bin bench_kernels -- \
@@ -14,17 +14,19 @@
 //! Without `--bench-json` the report prints to stdout. The committed
 //! `BENCH_kernels.json` at the repository root is one large-scale snapshot
 //! (the tier the headline acceptance ratios are defined on); numbers are
-//! machine-dependent, so compare ratios (steal-deque vs. shared cursor,
-//! thread scaling), not absolute rates, across machines.
+//! machine-dependent, so compare ratios (thread scaling, kernel against
+//! kernel), not absolute rates, across machines.
 //! The CI `perf-smoke` job regenerates the file as a build artifact on
 //! every run.
 //!
-//! Schema kernels-v6: each row carries `"repeat"` (0 for grid rows, n ≥ 1
+//! Schema kernels-v7: each row carries `"repeat"` (0 for grid rows, n ≥ 1
 //! for the dedicated interleaved headline pairs — v4 emitted those
 //! indistinguishable from grid rows) and `"fused_rounds"` (how many rounds
-//! the unison kernel ran barrier-free, DESIGN.md §4.9). v6 drops v5's FEL
-//! axis — the per-row `"fel"` field, the binary-heap rows and the
-//! `ladder_over_heap_2t` headline — since the ladder is the only FEL.
+//! the unison kernel ran barrier-free, DESIGN.md §4.9). v6 dropped v5's FEL
+//! axis since the ladder is the only FEL; v7 drops v6's scheduling-policy
+//! axis — the per-row `"sched"`, `"steals"` and affinity-rate fields, the
+//! steal-deque rows and the `steal_over_ljf_2t` headline — since the
+//! shared LJF cursor is the only claim path.
 //!
 //! With `--fault-profile` (requires the `fault-profile` cargo feature,
 //! which pulls in `unison-core/fault-inject`) the report additionally
@@ -35,10 +37,7 @@
 //! the feature, the `fault_profile` field is `null`.
 
 use unison_bench::harness::{bench_json_path, fat_tree_scenario, Scale, Scenario};
-use unison_core::{
-    DataRate, KernelKind, PartitionMode, PartitionPipeline, RunReport, SchedConfig,
-    SchedPolicyKind, Time,
-};
+use unison_core::{DataRate, KernelKind, PartitionMode, PartitionPipeline, RunReport, Time};
 
 /// One measured configuration.
 struct Sample {
@@ -46,24 +45,11 @@ struct Sample {
     threads: u32,
     /// Partitioner label (`auto` or a pipeline's stage chain).
     partitioner: &'static str,
-    policy: SchedPolicyKind,
     /// 0 for grid rows (median-of-3, one row per configuration); n ≥ 1 for
     /// the dedicated interleaved headline pairs, which would otherwise be
     /// indistinguishable from the grid rows they duplicate (kernels-v5+).
     repeat: u32,
     report: RunReport,
-}
-
-/// The two partitioners on the grid: the free-function reference and the
-/// staged pipeline with refinement + placement.
-fn partition_modes() -> [(&'static str, PartitionMode); 2] {
-    [
-        ("auto", PartitionMode::Auto),
-        (
-            "pipeline-refined",
-            PartitionMode::Pipeline(PartitionPipeline::refined()),
-        ),
-    ]
 }
 
 /// Median-of-3 by wall-clock: reruns the configuration and keeps the
@@ -75,31 +61,20 @@ fn measure(
     threads: u32,
     partitioner: &'static str,
     partition: PartitionMode,
-    policy: SchedPolicyKind,
 ) -> Sample {
-    let sched = SchedConfig {
-        policy,
-        ..Default::default()
-    };
     let mut runs: Vec<RunReport> = (0..3)
-        .map(|_| {
-            scenario
-                .run_real_opts(kernel.clone(), partition.clone(), sched)
-                .kernel
-        })
+        .map(|_| scenario.run_real(kernel.clone(), partition.clone()).kernel)
         .collect();
     runs.sort_by_key(|r| r.wall);
     let report = runs.swap_remove(1);
     eprintln!(
-        "bench_kernels: {name} t={threads} part={partitioner} sched={} — {:.0} events/sec",
-        policy.name(),
+        "bench_kernels: {name} t={threads} part={partitioner} — {:.0} events/sec",
         report.events_per_sec()
     );
     Sample {
         kernel: name,
         threads,
         partitioner,
-        policy,
         repeat: 0,
         report,
     }
@@ -120,19 +95,16 @@ fn sample_json(s: &Sample) -> String {
         .unwrap_or((0, 0));
     format!(
         "    {{\n      \"kernel\": \"{}\",\n      \"threads\": {},\n      \
-         \"partitioner\": \"{}\",\n      \
-         \"sched\": \"{}\",\n      \"repeat\": {},\n      \
+         \"partitioner\": \"{}\",\n      \"repeat\": {},\n      \
          \"wall_ns\": {},\n      \"events\": {},\n      \
          \"events_per_sec\": {:.0},\n      \"rounds\": {},\n      \
          \"fused_rounds\": {},\n      \
          \"grants\": {},\n      \"stalls\": {},\n      \
          \"pool_hits\": {},\n      \"pool_misses\": {},\n      \
-         \"pool_hit_rate\": {:.4},\n      \"steals\": {},\n      \
-         \"affinity_hit_rate\": {:.4}\n    }}",
+         \"pool_hit_rate\": {:.4}\n    }}",
         s.kernel,
         s.threads,
         s.partitioner,
-        s.policy.name(),
         s.repeat,
         r.wall.as_nanos(),
         r.events,
@@ -144,8 +116,6 @@ fn sample_json(s: &Sample) -> String {
         r.engine.pool_hits,
         r.engine.pool_misses,
         r.engine.pool_hit_rate(),
-        r.sched.steals,
-        r.sched.affinity_hit_rate(),
     )
 }
 
@@ -290,9 +260,8 @@ fn main() {
         1,
         "auto",
         PartitionMode::Auto,
-        SchedPolicyKind::LjfCursor,
     )];
-    // Thread sweep on the default partitioner/policy.
+    // Thread sweep on the default partitioner.
     for threads in [1u32, 2, 4] {
         samples.push(measure(
             &scenario,
@@ -303,7 +272,6 @@ fn main() {
             threads,
             "auto",
             PartitionMode::Auto,
-            SchedPolicyKind::LjfCursor,
         ));
     }
     // The barrier-free asynchronous conservative kernel: its scheduling is
@@ -318,48 +286,23 @@ fn main() {
             threads,
             "auto",
             PartitionMode::Auto,
-            SchedPolicyKind::LjfCursor,
         ));
     }
-    // (partitioner, sched-policy) grid at the parallel thread counts. The
-    // (auto, ljf-cursor) cell already exists above; skip the duplicate.
+    // Partitioner axis at the parallel thread counts: the staged pipeline
+    // with refinement + placement against the auto rows above.
     for threads in [2u32, 4] {
-        for (pname, pmode) in partition_modes() {
-            for policy in [SchedPolicyKind::LjfCursor, SchedPolicyKind::StealDeque] {
-                if pname == "auto" && policy == SchedPolicyKind::LjfCursor {
-                    continue;
-                }
-                samples.push(measure(
-                    &scenario,
-                    "unison",
-                    KernelKind::Unison {
-                        threads: threads as usize,
-                    },
-                    threads,
-                    pname,
-                    pmode.clone(),
-                    policy,
-                ));
-            }
-        }
+        samples.push(measure(
+            &scenario,
+            "unison",
+            KernelKind::Unison {
+                threads: threads as usize,
+            },
+            threads,
+            "pipeline-refined",
+            PartitionMode::Pipeline(PartitionPipeline::refined()),
+        ));
     }
 
-    // Headline ratio: steal-deque vs. shared cursor backs the scheduler
-    // extension's "no regression" claim (DESIGN.md §4.5) on the 2-thread
-    // configuration.
-    let rate = |policy: SchedPolicyKind| {
-        samples
-            .iter()
-            .find(|s| {
-                s.kernel == "unison"
-                    && s.threads == 2
-                    && s.partitioner == "auto"
-                    && s.policy == policy
-            })
-            .map(|s| s.report.events_per_sec())
-            .unwrap_or(f64::NAN)
-    };
-    let steal_over_ljf = rate(SchedPolicyKind::StealDeque) / rate(SchedPolicyKind::LjfCursor);
     // Thread-scaling and async headlines: the grid rows above are measured
     // minutes apart, so their ratios soak up machine drift; the headlines
     // instead come from three dedicated interleaved pairs with alternating
@@ -383,7 +326,6 @@ fn main() {
                 kernel: name,
                 threads,
                 partitioner: "auto",
-                policy: SchedPolicyKind::LjfCursor,
                 repeat,
                 report,
             });
@@ -422,24 +364,21 @@ fn main() {
         "unison",
         1,
     );
-    eprintln!("bench_kernels: steal-deque/ljf-cursor at 2 threads: {steal_over_ljf:.3}x");
     eprintln!("bench_kernels: async_cons/unison at 4 threads: {async_over_unison_4t:.3}x");
     eprintln!("bench_kernels: unison 4t over 1t: {unison_4t_over_1t:.3}x");
 
     let fault_profile = fault_profile_json(&scenario).unwrap_or_else(|| "null".into());
     let runs: Vec<String> = samples.iter().map(sample_json).collect();
     let json = format!(
-        "{{\n  \"schema\": \"unison-bench/kernels-v6\",\n  \
+        "{{\n  \"schema\": \"unison-bench/kernels-v7\",\n  \
          \"scale\": \"{}\",\n  \
          \"workload\": \"fat-tree k={} incast 0.5, 100 Gbps links, 3 us delay\",\n  \
-         \"steal_over_ljf_2t\": {:.3},\n  \
          \"async_over_unison_4t\": {:.3},\n  \
          \"unison_4t_over_1t\": {:.3},\n  \
          \"fault_profile\": {},\n  \
          \"runs\": [\n{}\n  ]\n}}\n",
         scale.name(),
         scale.pick(4, 8),
-        steal_over_ljf,
         async_over_unison_4t,
         unison_4t_over_1t,
         fault_profile,

@@ -200,25 +200,13 @@ impl Scenario {
 
     /// Runs for real on the given kernel (wall-clock measurement).
     pub fn run_real(&self, kernel: KernelKind, partition: PartitionMode) -> RealRun {
-        self.run_real_opts(kernel, partition, SchedConfig::default())
-    }
-
-    /// [`Scenario::run_real`] with an explicit scheduling
-    /// configuration — the A/B switch for the (partitioner, sched-policy)
-    /// bench matrix and the work-stealing perf-smoke tripwire.
-    pub fn run_real_opts(
-        &self,
-        kernel: KernelKind,
-        partition: PartitionMode,
-        sched: SchedConfig,
-    ) -> RealRun {
         let sim = self.builder().build();
         let res = sim
             .run_with(&RunConfig {
                 watchdog: Default::default(),
                 kernel,
                 partition,
-                sched,
+                sched: SchedConfig::default(),
                 metrics: MetricsLevel::Summary,
                 telemetry: profile_telemetry(),
                 fault: Default::default(),

@@ -11,25 +11,20 @@
 //!     --test-threads=1
 //! ```
 //!
-//! Four claims are guarded, with deliberately loose thresholds (these
+//! Three claims are guarded, with deliberately loose thresholds (these
 //! are tripwires against large regressions, not micro-benchmarks — the
 //! committed `BENCH_kernels.json` baseline holds the precise numbers):
 //!
 //! 1. the mailbox node pool reaches a > 90% hit rate at steady state —
 //!    i.e. after warm-up, receive-phase traffic reuses recycled nodes
 //!    instead of allocating;
-//! 2. the work-stealing scheduler (`SchedPolicyKind::StealDeque`) is not
-//!    materially slower than the shared LJF cursor on the same workload
-//!    (≥ 0.9x — its whole point is overlap, so losing 10%+ to deque
-//!    overhead would mean the extension broke its contract, DESIGN.md
-//!    §4.5);
-//! 3. on the large tier (fat-tree k = 8, ≥ 10⁷ events) the barrier-free
+//! 2. on the large tier (fat-tree k = 8, ≥ 10⁷ events) the barrier-free
 //!    asynchronous conservative kernel at 4 threads holds parity or
 //!    better against the Unison kernel at 4 threads (contract ≥ 1.0x,
 //!    recorded in `BENCH_kernels.json`; enforcement floor 0.85 absorbs
 //!    shared-runner noise — removing the round barrier is the kernel's
 //!    entire reason to exist, DESIGN.md §4.8);
-//! 4. on the same large tier the round-based Unison kernel at 4 threads
+//! 3. on the same large tier the round-based Unison kernel at 4 threads
 //!    holds parity or better against itself at 1 thread (contract ≥ 1.0x,
 //!    the `unison_4t_over_1t` headline in `BENCH_kernels.json`; same 0.85
 //!    enforcement floor for timesliced 1-CPU runners) — the ratio round
@@ -37,7 +32,7 @@
 //!    §4.9, ROADMAP item 1).
 
 use unison_bench::harness::{fat_tree_scenario, Scale, Scenario};
-use unison_core::{DataRate, KernelKind, PartitionMode, SchedConfig, SchedPolicyKind, Time};
+use unison_core::{DataRate, KernelKind, PartitionMode, Time};
 
 /// The paper's §3.2 profiling workload at quick scale: a k=4 fat-tree with
 /// a 50% incast share — mailbox- and FEL-heavy by construction.
@@ -77,54 +72,7 @@ fn pool_hit_rate_above_90_percent_steady_state() {
     );
 }
 
-/// Tripwire 2: the work-stealing scheduler must not lose materially to
-/// the shared LJF cursor on the incast workload. StealDeque pays for its
-/// per-claim deque traversal with overlap when LP costs are skewed; on a
-/// balanced workload the two should sit at parity (measured 1.0x in
-/// `BENCH_kernels.json`'s `steal_over_ljf_2t`). A ratio below 0.9 means
-/// claim-path overhead grew past what overlap can buy back (DESIGN.md
-/// §4.5).
-#[test]
-#[ignore = "wall-clock tripwire; run explicitly in the CI perf-smoke job"]
-fn steal_deque_not_slower_than_ljf_cursor_on_incast() {
-    let scenario = incast();
-    let sample_sched = |policy: SchedPolicyKind| {
-        scenario
-            .run_real_opts(
-                KernelKind::Unison { threads: 2 },
-                PartitionMode::Auto,
-                SchedConfig {
-                    policy,
-                    ..Default::default()
-                },
-            )
-            .kernel
-            .events_per_sec()
-    };
-    // Warm-up (page cache, allocator, frequency scaling).
-    sample_sched(SchedPolicyKind::StealDeque);
-    sample_sched(SchedPolicyKind::LjfCursor);
-    let mut steal = Vec::new();
-    let mut ljf = Vec::new();
-    for _ in 0..5 {
-        steal.push(sample_sched(SchedPolicyKind::StealDeque));
-        ljf.push(sample_sched(SchedPolicyKind::LjfCursor));
-    }
-    let (s, l) = (median(&mut steal), median(&mut ljf));
-    let ratio = s / l;
-    eprintln!(
-        "perf-smoke: incast events/sec — steal-deque {s:.0}, ljf-cursor \
-         {l:.0} (ratio {ratio:.3})"
-    );
-    assert!(
-        ratio >= 0.9,
-        "work-stealing scheduler regressed below the shared LJF cursor on \
-         the fat-tree incast workload: {s:.0} vs {l:.0} events/sec \
-         (ratio {ratio:.3}, tripwire 0.9)"
-    );
-}
-
-/// Tripwire 3: the async-conservative kernel's headline. On the large
+/// Tripwire 2: the async-conservative kernel's headline. On the large
 /// tier — big enough that per-event work dominates thread start-up — the
 /// barrier-free kernel must not lose to the round-based Unison kernel at
 /// the same thread count. Five interleaved sample pairs per arm, with the
@@ -196,14 +144,14 @@ fn async_cons_not_slower_than_unison_on_large_tier() {
     );
 }
 
-/// Tripwire 4: the round-based kernel's own thread scaling on the large
+/// Tripwire 3: the round-based kernel's own thread scaling on the large
 /// tier — the `unison_4t_over_1t` headline. Round fusion (DESIGN.md §4.9)
 /// removes barrier crossings from sparse rounds and the hierarchical tree
 /// barrier cheapens the rest, so 4 threads must not run *slower* than 1
 /// thread on a ≥ 10⁷-event workload (the kernels-v4 baseline measured
 /// 0.96 — ROADMAP item 1 verbatim).
 ///
-/// Same measurement discipline as tripwire 3: interleaved pairs with
+/// Same measurement discipline as tripwire 2: interleaved pairs with
 /// alternating within-pair order, medians per arm. The contract is
 /// parity or better (≥ 1.0x); the enforcement threshold is 0.85 because
 /// on timesliced single-CPU runners four workers sharing one core pay

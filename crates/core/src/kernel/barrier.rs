@@ -31,7 +31,7 @@ use crate::metrics::{
     EngineStats, LpTotals, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats,
 };
 use crate::queue::MpscQueue;
-use crate::sync::SpinBarrier;
+use crate::sync::TreeBarrier;
 use crate::telemetry::{SpanKind, TelContext, WorkerTel};
 use crate::time::Time;
 use crate::world::{NodeDirectory, SimCtx, SimNode, World};
@@ -143,7 +143,7 @@ pub(super) fn run<N: SimNode>(
     // PADDING: the lock-step kernel is the deliberately naive baseline the
     // paper compares against; each word has a single writer per round.
     let next_ts: Vec<AtomicU64> = lps.iter().map(|lp| AtomicU64::new(lp.next_ts.0)).collect();
-    let barrier = SpinBarrier::new(lp_count);
+    let barrier = TreeBarrier::new(lp_count);
     let stop_flag = AtomicBool::new(false);
 
     let started = Instant::now();
@@ -190,6 +190,7 @@ pub(super) fn run<N: SimNode>(
                 let vt_c: Cell<Time> = Cell::new(Time::ZERO);
                 let body = catch_unwind(AssertUnwindSafe(|| {
                     let mut psm = Psm::default();
+                    let mut waiter = barrier.waiter(idx);
                     let mut tel = telctx.worker(idx as u32);
                     let mut samples: Vec<RoundSample> = Vec::new();
                     let mut insert_seq: u64 = lp.fel.len() as u64;
@@ -262,7 +263,7 @@ pub(super) fn run<N: SimNode>(
                         // Synchronize: everyone must finish sending first.
                         let tel_start = tel.start();
                         let s_before = psm.s_ns;
-                        barrier.wait_timed(&mut psm.s_ns);
+                        barrier.wait_timed(&mut waiter, &mut psm.s_ns);
                         tel.span_dur(
                             SpanKind::BarrierWait,
                             rounds,
@@ -309,7 +310,7 @@ pub(super) fn run<N: SimNode>(
                         // Second barrier: next timestamps are published.
                         let tel_start = tel.start();
                         let s_before = psm.s_ns;
-                        barrier.wait_timed(&mut psm.s_ns);
+                        barrier.wait_timed(&mut waiter, &mut psm.s_ns);
                         tel.span_dur(
                             SpanKind::BarrierWait,
                             rounds,

@@ -24,12 +24,11 @@
 //! decision log carries one entry per *host group* per re-sort (the
 //! [`crate::telemetry::SchedDecision::group`] field is the host id).
 //!
-//! Scheduling policies are likewise per group: `run_grouped` builds one
-//! [`crate::sched::SchedPolicy`] instance per host, sized to that host's
-//! worker count, so work stealing under
-//! [`SchedPolicyKind::StealDeque`](crate::sched::SchedPolicyKind) never
-//! crosses host boundaries — exactly the paper's "balance within a host"
-//! deployment constraint.
+//! Claims are likewise per group: `run_grouped` builds one
+//! [`crate::sched::LjfCursor`] per host, and a host's workers only claim
+//! from their own host's cursor, so load balancing never crosses host
+//! boundaries — exactly the paper's "balance within a host" deployment
+//! constraint.
 
 use crate::error::SimError;
 use crate::metrics::RunReport;

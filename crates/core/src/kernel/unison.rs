@@ -3,11 +3,9 @@
 //! Fine-grained LPs are scheduled onto a pool of worker threads each round.
 //! A round has four phases separated by atomic barriers (Fig. 7):
 //!
-//! 1. **Process events** — workers claim LPs through the configured
-//!    [`SchedPolicy`] (shared LJF cursor by default, work-stealing deques
-//!    under [`SchedPolicyKind::StealDeque`](crate::sched::SchedPolicyKind))
-//!    and execute each claimed LP's events inside the window. Cross-LP
-//!    events go to lock-free mailboxes.
+//! 1. **Process events** — workers claim LPs longest-first through their
+//!    group's shared [`LjfCursor`] and execute each claimed LP's events
+//!    inside the window. Cross-LP events go to lock-free mailboxes.
 //! 2. **Handle global events** — the main thread routes overflow events,
 //!    merges node-scheduled globals into the public LP, executes due global
 //!    events (which may mutate the topology → lookahead recompute).
@@ -43,7 +41,7 @@ use crate::mailbox::Mailboxes;
 use crate::metrics::{
     EngineStats, LpTotals, MetricsLevel, Psm, RoundRecord, RunReport, SchedStats,
 };
-use crate::sched::{order_by_estimate_into, SchedMetric, SchedPolicy};
+use crate::sched::{order_by_estimate_into, LjfCursor, SchedMetric};
 use crate::sync::{TreeBarrier, TreeWaiter};
 use crate::sync_shim::{AtomicBool, AtomicUsize, CachePadded, Ordering};
 use crate::telemetry::{SpanKind, TelContext, WorkerTel, NO_LP};
@@ -184,26 +182,17 @@ pub(super) fn run_grouped<N: SimNode>(
     }
     let initial_order = group_lps.clone();
 
-    // Per-group worker counts and each worker's slot (index among its
-    // group's workers, ascending by worker id; worker 0 is the main
-    // thread). Slots identify a worker to its group's scheduling policy.
-    let mut group_workers: Vec<usize> = vec![0; groups];
-    let mut slot_of: Vec<usize> = vec![0; threads];
-    for (w, &g) in grouping.worker_group.iter().enumerate() {
-        slot_of[w] = group_workers[g as usize];
-        group_workers[g as usize] += 1;
-    }
-    // Snapshot the placement hints: topology edits in phase 2 may mutate
-    // `partition` (lookahead recompute), so the policies must not borrow it.
-    let affinity: Vec<u32> = partition.affinity.clone();
-    // One scheduling policy per group; seeded with the initial (identity)
-    // orders before any worker threads exist.
-    let policies: Vec<Box<dyn SchedPolicy>> = (0..groups)
-        .map(|g| cfg.sched.policy.build(group_workers[g].max(1)))
+    // One claim cursor per group, published before any worker threads
+    // exist. Re-sorts permute a group's order in place, so its length (all
+    // the cursor needs) never changes.
+    let cursors: Vec<LjfCursor> = initial_order
+        .iter()
+        .map(|order_g| {
+            let c = LjfCursor::new();
+            c.publish(order_g.len());
+            c
+        })
         .collect();
-    for (g, order_g) in initial_order.iter().enumerate() {
-        policies[g].publish(order_g, &affinity);
-    }
 
     // Initial window.
     let initial_min = {
@@ -274,7 +263,6 @@ pub(super) fn run_grouped<N: SimNode>(
     let mut worker_psm: Vec<Psm> = Vec::new();
     let mut main_psm = Psm::default();
     let main_group = grouping.worker_group[0] as usize;
-    let main_slot = slot_of[0];
 
     // Telemetry sinks: one per worker (sole writer: that worker), plus the
     // scheduler-decision log written only by the main thread in phase 4.
@@ -305,12 +293,12 @@ pub(super) fn run_grouped<N: SimNode>(
         // Spawn `threads - 1` workers; the main thread is worker 0 and also
         // runs the serial phases.
         let mut handles = Vec::new();
-        for (w, &slot) in slot_of.iter().enumerate().skip(1) {
+        for w in 1..threads {
             let g = grouping.worker_group[w] as usize;
             let slots = &slots;
             let plan = &plan;
             let barrier = &barrier;
-            let policies = &policies;
+            let cursors = &cursors;
             let cursor_recv = &cursor_recv;
             let stop_flag = &stop_flag;
             let mailboxes = &mailboxes;
@@ -351,8 +339,7 @@ pub(super) fn run_grouped<N: SimNode>(
                         process_phase(
                             slots,
                             mailboxes,
-                            &*policies[g],
-                            slot,
+                            &cursors[g],
                             &p.order[g],
                             p,
                             stop_flag,
@@ -507,15 +494,13 @@ pub(super) fn run_grouped<N: SimNode>(
                 cfg.fault.fire_phase(round, RunPhase::Process, 0);
                 if fuse {
                     // Fused round: this thread claims every group's whole
-                    // order (slot 0 of each policy); the parked workers
-                    // never contend for claims.
+                    // order; the parked workers never contend for claims.
                     let mut events = 0;
-                    for (g, policy) in policies.iter().enumerate() {
+                    for (g, cursor) in cursors.iter().enumerate() {
                         events += process_phase(
                             &slots,
                             &mailboxes,
-                            &**policy,
-                            0,
+                            cursor,
                             &p.order[g],
                             p,
                             &stop_flag,
@@ -529,8 +514,7 @@ pub(super) fn run_grouped<N: SimNode>(
                     process_phase(
                         &slots,
                         &mailboxes,
-                        &*policies[main_group],
-                        main_slot,
+                        &cursors[main_group],
                         &p.order[main_group],
                         p,
                         &stop_flag,
@@ -871,28 +855,17 @@ pub(super) fn run_grouped<N: SimNode>(
                     out.clear();
                     out.extend(group_order.iter().map(|&i| lps_of_g[i as usize]));
                 }
-                // Re-seed each group's policy with its new order (the
-                // unconditional `begin_round` below is then a no-op for
-                // this round).
-                for (g, order_g) in plan_mut.order.iter().enumerate() {
-                    policies[g].publish(order_g, &affinity);
-                }
                 if sched_log.enabled() {
                     // Log the LJF decision per group: the order applies
                     // from the next round (`rounds + 1`) until the next
-                    // re-sort. Estimates ride along for regret analysis,
-                    // steal/affinity counters (cumulative at decision
-                    // time) for work-stealing analysis.
+                    // re-sort. Estimates ride along for regret analysis.
                     for (g, order_g) in plan_mut.order.iter().enumerate() {
-                        let st = policies[g].stats();
                         sched_log.record(
                             rounds + 1,
                             g as u32,
                             cfg.sched.metric.name(),
                             order_g.clone(),
                             order_g.iter().map(|&l| estimates[l as usize]).collect(),
-                            st.steals,
-                            st.affinity_hits,
                         );
                     }
                     // Publish the estimates so phase-1 `lp-task` spans can
@@ -916,8 +889,8 @@ pub(super) fn run_grouped<N: SimNode>(
                 // at B0, so the plan carries the authoritative round number.
                 plan_mut.round = rounds + 1;
             }
-            for pol in policies.iter() {
-                pol.begin_round();
+            for cursor in cursors.iter() {
+                cursor.begin_round();
             }
             slots.begin_phase(); // covers the next round's phase 1
             let w_dur = t0.elapsed().as_nanos() as u64;
@@ -1008,16 +981,11 @@ pub(super) fn run_grouped<N: SimNode>(
     let mut tels = vec![main_tel];
     tels.extend(worker_tels);
     let (pool_hits, pool_misses) = mailboxes.pool_stats();
-    let mut sched_stats = SchedStats {
+    let sched_stats = SchedStats {
         policy: cfg.sched.policy.name(),
+        claims: cursors.iter().map(LjfCursor::claims).sum(),
         ..Default::default()
     };
-    for pol in policies.iter() {
-        let s = pol.stats();
-        sched_stats.claims += s.claims;
-        sched_stats.steals += s.steals;
-        sched_stats.affinity_hits += s.affinity_hits;
-    }
     let report = RunReport {
         kernel: format!("{kernel_name}({threads})"),
         wall,
@@ -1128,14 +1096,13 @@ fn wait_timed(
     );
 }
 
-/// Phase 1: claim LPs through the scheduling policy and execute their
+/// Phase 1: claim LPs through the group's LJF cursor and execute their
 /// window events. Returns the number of events this worker executed.
 #[allow(clippy::too_many_arguments)]
 fn process_phase<N: SimNode>(
     slots: &LpSlots<N>,
     mailboxes: &Mailboxes<N::Payload>,
-    policy: &dyn SchedPolicy,
-    slot: usize,
+    cursor: &LjfCursor,
     order: &[u32],
     plan: &RoundPlan,
     stop_flag: &AtomicBool,
@@ -1145,10 +1112,10 @@ fn process_phase<N: SimNode>(
 ) -> u64 {
     let dir = slots.directory();
     let mut total_events: u64 = 0;
-    while let Some(i) = policy.claim(slot) {
+    while let Some(i) = cursor.claim() {
         let lp_idx = order[i] as usize;
-        // SAFETY: `SchedPolicy::claim` hands each position to exactly one
-        // worker per round (the exactly-once contract on the trait); phases
+        // SAFETY: `LjfCursor::claim` hands each position to exactly one
+        // worker per round (each `fetch_add` returns a distinct index); phases
         // are separated by barriers.
         let lp = unsafe { slots.get_mut(lp_idx) };
         // The cache is exact here: it was refreshed at the end of the last

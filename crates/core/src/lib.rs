@@ -76,7 +76,6 @@ pub mod pin;
 pub mod queue;
 pub mod rng;
 pub mod sched;
-pub mod stealdeque;
 pub mod sync;
 pub mod sync_shim;
 pub mod telemetry;
@@ -107,10 +106,8 @@ pub use perfmodel::{CostParams, ModelResult, PerfModel};
 pub use pin::PinPolicy;
 pub use rng::Rng;
 pub use sched::{
-    scheduling_regret, FusionConfig, LjfCursor, SchedConfig, SchedMetric, SchedPolicy,
-    SchedPolicyKind, SchedPolicyStats,
+    scheduling_regret, FusionConfig, LjfCursor, SchedConfig, SchedMetric, SchedPolicyKind,
 };
-pub use stealdeque::StealDeque;
 pub use telemetry::{RunTelemetry, SchedDecision, Span, SpanKind, TelemetryConfig, WorkerSpans};
 pub use time::{DataRate, Time};
 pub use world::{SimCtx, SimCtxExt, SimNode, World, WorldBuilder};

@@ -145,34 +145,18 @@ impl EngineStats {
     }
 }
 
-/// Claim-policy behaviour of a run (DESIGN.md §4.5): which [`crate::SchedPolicy`]
-/// distributed LPs over workers and how its claims broke down. All zeros
-/// (with an empty policy name) for kernels without a claim loop.
+/// Claim behaviour of a run (DESIGN.md §4.5): how many LP positions the
+/// shared LJF cursors handed out. All zeros (with an empty policy name) for
+/// kernels without a claim loop.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SchedStats {
-    /// Claim-policy name ([`crate::SchedPolicyKind::name`]); empty for
+    /// Claim-path name ([`crate::SchedPolicyKind::name`]); empty for
     /// kernels without a claim loop.
     pub policy: &'static str,
-    /// LP executions claimed over the run (one per non-idle LP per round).
+    /// LP positions claimed over the run ([`crate::LjfCursor::claims`]).
     pub claims: u64,
-    /// Claims served by stealing from another worker's deque (always 0
-    /// under the shared-cursor policy, which has no worker-local state).
+    /// Always 0; kept because perfbench reports `core.sched.steals`.
     pub steals: u64,
-    /// Claims served from the claiming worker's own deque.
-    pub affinity_hits: u64,
-}
-
-impl SchedStats {
-    /// Fraction of claims served from the claiming worker's own deque
-    /// (0 when the policy tracked no claims — e.g. the shared cursor).
-    pub fn affinity_hit_rate(&self) -> f64 {
-        let attributed = self.affinity_hits + self.steals;
-        if attributed == 0 {
-            0.0
-        } else {
-            self.affinity_hits as f64 / attributed as f64
-        }
-    }
 }
 
 /// The result of one kernel run.
@@ -215,7 +199,7 @@ pub struct RunReport {
     pub lp_totals: LpTotals,
     /// Event-engine configuration and node-pool behaviour.
     pub engine: EngineStats,
-    /// Claim-policy behaviour (steals, affinity hits; DESIGN.md §4.5).
+    /// Claim behaviour (DESIGN.md §4.5).
     pub sched: SchedStats,
     /// Per-round profile, when requested.
     pub rounds_profile: Option<Vec<RoundRecord>>,
@@ -287,17 +271,6 @@ impl RunReport {
     /// hybrid — a worker executes many LPs per round).
     pub fn psm_is_per_lp(&self) -> bool {
         self.psm_per_lp
-    }
-
-    /// Total claims served by work stealing ([`SchedStats::steals`]).
-    pub fn steal_count(&self) -> u64 {
-        self.sched.steals
-    }
-
-    /// Fraction of claims served from the claiming worker's own deque
-    /// ([`SchedStats::affinity_hit_rate`]).
-    pub fn affinity_hit_rate(&self) -> f64 {
-        self.sched.affinity_hit_rate()
     }
 
     /// Mean per-round load imbalance (max/mean LP cost, ≥ 1).
@@ -426,24 +399,6 @@ mod tests {
         // An all-idle profile falls back to totals.
         rep.rounds_profile = Some(vec![rec(&[0.0, 0.0])]);
         assert!((rep.imbalance() - 2.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sched_stats_hit_rate() {
-        let s = SchedStats {
-            policy: "steal-deque",
-            claims: 10,
-            steals: 3,
-            affinity_hits: 7,
-        };
-        assert!((s.affinity_hit_rate() - 0.7).abs() < 1e-12);
-        assert_eq!(SchedStats::default().affinity_hit_rate(), 0.0);
-        let rep = RunReport {
-            sched: s,
-            ..Default::default()
-        };
-        assert_eq!(rep.steal_count(), 3);
-        assert!((rep.affinity_hit_rate() - 0.7).abs() < 1e-12);
     }
 
     #[test]

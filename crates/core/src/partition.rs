@@ -41,9 +41,10 @@ pub struct Partition {
     pub lookahead: Time,
     /// Worker-affinity hint per LP: a stable locality rank (LPs with nearby
     /// ranks are topologically close and benefit from sharing a worker).
-    /// Empty when no placement stage ran — the scheduler then falls back to
-    /// schedule-order striping. Affinity is a *hint*: it may only influence
-    /// which worker executes an LP, never the simulation results.
+    /// Empty when no placement stage ran. The async_cons kernel uses it for
+    /// static LP ownership; the Unison claim cursor ignores it. Affinity is
+    /// a *hint*: it may only influence which worker executes an LP, never
+    /// the simulation results.
     pub affinity: Vec<u32>,
 }
 

@@ -3,9 +3,8 @@
 //! Scheduling placement is the third axis of the per-round overhead work
 //! (DESIGN.md §4.9): once the barrier path is cache-padded, the remaining
 //! variance comes from the OS migrating workers across cores between
-//! rounds, which cold-starts the per-worker working set (claim words,
-//! steal deques, the LP slots a worker keeps re-claiming under affinity
-//! scheduling). [`PinPolicy::Compact`] pins worker `w` to core
+//! rounds, which cold-starts the per-worker working set (the claim
+//! cursor, barrier nodes and the LP state a worker touches). [`PinPolicy::Compact`] pins worker `w` to core
 //! `w % cores` — a pure placement hint with **no effect on simulation
 //! results**: digests are a function of event keys only, and pinning
 //! never reorders event execution (the determinism argument is the same

@@ -1,184 +1,47 @@
 //! Thread synchronization primitives for the phase-driven kernels.
 //!
 //! The Unison kernel separates the four phases of a round with barriers
-//! implemented using atomic operations (§5.1). This sense-reversing barrier
-//! spins briefly and then yields, which behaves well both on dedicated cores
-//! (short waits stay in user space) and on oversubscribed machines (yielding
-//! lets the other workers run).
+//! implemented using atomic operations (§5.1). [`TreeBarrier`] is the one
+//! barrier of every round-based kernel: cache-padded combining nodes, a
+//! generation-counted release wave, and waits that spin briefly and then
+//! yield, which behaves well both on dedicated cores (short waits stay in
+//! user space) and on oversubscribed machines (yielding lets the other
+//! workers run).
 //!
 //! All atomics go through [`crate::sync_shim`], so under
 //! `RUSTFLAGS="--cfg loom"` the barrier runs on the in-repo loom model
 //! checker's instrumented types; `crates/core/tests/loom_models.rs`
-//! exhaustively verifies generation reuse, leader uniqueness and the
-//! happens-before edge the barrier promises.
+//! exhaustively verifies generation reuse, leader uniqueness, poisoning
+//! and the happens-before edge the barrier promises, on both the
+//! single-node and the two-level tree shape.
 
 use crate::sync_shim::{
     spin_loop, yield_now, AtomicBool, AtomicU64, AtomicUsize, CachePadded, Ordering,
 };
 
-/// How many failed spins of [`SpinBarrier::wait`] stay in user space
+/// How many failed spins of [`TreeBarrier::wait`] stay in user space
 /// (`spin_loop` hints) before each subsequent retry yields the CPU with
 /// `std::thread::yield_now`.
 ///
 /// The default favours dedicated cores: phase hand-offs in the Unison
 /// kernel are typically shorter than a scheduler quantum, so a short
 /// user-space spin wins. On heavily oversubscribed machines construct the
-/// barrier with [`SpinBarrier::with_spin_limit`] and a lower value (0 =
+/// barrier with [`TreeBarrier::with_spin_limit`] and a lower value (0 =
 /// always yield).
 pub const SPIN_YIELD_THRESHOLD: u32 = 64;
-
-/// A reusable sense-reversing barrier over atomics.
-///
-/// # Memory ordering
-///
-/// `wait` is a full synchronization point: every write sequenced before a
-/// participant's `wait` happens-before every read sequenced after *any*
-/// participant's matching `wait` returns. The edge is established by the
-/// arrival `fetch_add(AcqRel)` chain into the leader plus the leader's
-/// `Release` sense flip, which each waiter observes with an `Acquire` load.
-///
-/// ## Why the `Relaxed` count reset is sound
-///
-/// The leader resets `count` with `store(0, Relaxed)` *before* flipping the
-/// sense with `Release`. A waiter of the **same** generation never touches
-/// `count` again, so only a *re-arriving* participant of the next
-/// generation could observe the reset out of order — but to re-arrive it
-/// must first have observed the flipped sense with `Acquire`, and the reset
-/// is sequenced before the `Release` flip on the leader. The
-/// Acquire/Release pair therefore orders `reset → flip → observe flip →
-/// next fetch_add`, making a stale (pre-reset) `count` unobservable.
-/// `Relaxed` is sufficient; the loom model `barrier_generation_reuse`
-/// machine-checks this argument (a `debug_assert` in `wait` would trip if a
-/// stale count ever doubled-up arrivals).
-/// ## Poisoning
-///
-/// [`SpinBarrier::poison`] marks the barrier permanently broken. Every
-/// participant currently spinning in `wait` — and every later caller —
-/// returns immediately (with `false`) instead of waiting for stragglers.
-/// This is the drain path used by the kernels' panic containment and the
-/// round-progress watchdog: when one worker dies, the survivors must fall
-/// out of the round loop instead of spinning on a generation that can never
-/// complete. A poisoned barrier never recovers; callers are expected to
-/// check [`SpinBarrier::is_poisoned`] after each `wait` and stop
-/// participating. Because a participant calls `wait` at most once more
-/// after observing poison, the per-generation arrival count stays bounded
-/// by `threads` and the stale-count `debug_assert` still holds.
-pub struct SpinBarrier {
-    threads: usize,
-    // PADDING: the flat barrier is all-to-all by design — every waiter
-    // spins on these same words, so there is no neighbour to false-share
-    // with. The padded, scalable alternative is [`TreeBarrier`].
-    count: AtomicUsize,
-    sense: AtomicBool,    // PADDING: deliberately shared line; see `count`.
-    poisoned: AtomicBool, // PADDING: deliberately shared line; see `count`.
-    spin_limit: u32,
-}
-
-impl SpinBarrier {
-    /// Creates a barrier for `threads` participants with the default
-    /// [`SPIN_YIELD_THRESHOLD`].
-    pub fn new(threads: usize) -> Self {
-        Self::with_spin_limit(threads, SPIN_YIELD_THRESHOLD)
-    }
-
-    /// Creates a barrier that starts yielding after `spin_limit` failed
-    /// spins (0 = yield immediately on every failed check).
-    pub fn with_spin_limit(threads: usize, spin_limit: u32) -> Self {
-        assert!(threads > 0);
-        SpinBarrier {
-            threads,
-            count: AtomicUsize::new(0),
-            sense: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
-            spin_limit,
-        }
-    }
-
-    /// Marks the barrier permanently broken, releasing every current and
-    /// future waiter (their `wait` returns `false`). Idempotent.
-    pub fn poison(&self) {
-        // Release: a waiter that observes the poison with Acquire also
-        // observes everything the poisoner wrote before it (e.g. the
-        // failure diagnostics recorded by a panicking worker).
-        self.poisoned.store(true, Ordering::Release);
-    }
-
-    /// Whether [`SpinBarrier::poison`] has been called.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
-    }
-
-    /// [`SpinBarrier::wait`] with the blocked wall-clock time added to
-    /// `s_ns` — the P/S/M `S` accumulator and the telemetry `barrier-wait`
-    /// spans both feed off this one measurement. The clock reads are pure
-    /// observation: they never feed back into simulation state.
-    pub fn wait_timed(&self, s_ns: &mut u64) -> bool {
-        // TELEMETRY: wall-clock measurement of synchronization waits.
-        let t0 = std::time::Instant::now();
-        let led = self.wait();
-        // TELEMETRY: wall-clock measurement of synchronization waits.
-        *s_ns += t0.elapsed().as_nanos() as u64;
-        led
-    }
-
-    /// Blocks until all participants have called `wait`. Returns `true` for
-    /// exactly one participant per generation (the last to arrive), or
-    /// `false` immediately when the barrier is (or becomes) poisoned.
-    pub fn wait(&self) -> bool {
-        // Checked before the arrival fetch_add so a drained participant
-        // never contributes a stale count to a generation that will not
-        // complete.
-        if self.is_poisoned() {
-            return false;
-        }
-        let local_sense = !self.sense.load(Ordering::Relaxed);
-        let arrived = self.count.fetch_add(1, Ordering::AcqRel) + 1;
-        // A stale (unreset) count from a previous generation would surface
-        // here; see the ordering proof on the type.
-        debug_assert!(
-            arrived <= self.threads,
-            "more arrivals than participants: stale barrier count"
-        );
-        if arrived == self.threads {
-            // Relaxed is enough: ordered before the Release flip below, and
-            // next-generation arrivals are ordered after their Acquire
-            // observation of that flip (see type-level docs).
-            self.count.store(0, Ordering::Relaxed);
-            // Release: publishes everything written before the barrier to
-            // threads that observe the flipped sense.
-            self.sense.store(local_sense, Ordering::Release);
-            true
-        } else {
-            let mut spins = 0u32;
-            while self.sense.load(Ordering::Acquire) != local_sense {
-                if self.is_poisoned() {
-                    return false;
-                }
-                if spins < self.spin_limit {
-                    spins += 1;
-                    spin_loop();
-                } else {
-                    yield_now();
-                }
-            }
-            false
-        }
-    }
-}
 
 /// Fan-in of the [`TreeBarrier`] arrival tree: each node combines at most
 /// this many children (participants at a leaf, winners at inner nodes).
 ///
 /// Four keeps the tree flat for the worker counts the Unison kernel
 /// actually runs (≤ 4 workers collapse to a single root node; 16 workers
-/// need two levels) while still splitting the arrival cache line once the
-/// flat counter would become a global hot word.
+/// need two levels) while still splitting the arrival cache line once a
+/// single counter would become a global hot word.
 pub const TREE_FAN_IN: usize = 4;
 
 /// One combining node of the arrival tree. Each node owns its own cache
 /// line (the whole node is stored `CachePadded`), so arrivals at different
-/// leaves never contend on a shared word — the flat [`SpinBarrier`]'s
-/// `count` is exactly such a global hot word.
+/// leaves never contend on a shared word.
 struct TreeNode {
     /// Arrivals of the current generation (participants at a leaf, child
     /// winners at an inner node). Reset to 0 by the node's winner *before*
@@ -197,11 +60,11 @@ struct TreeNode {
 /// A hierarchical sense-free tree barrier: cache-padded arrival nodes with
 /// fan-in [`TREE_FAN_IN`], release broadcast down from the root.
 ///
-/// Drop-in replacement for [`SpinBarrier`] in the round-based kernels,
-/// with the same poison semantics and `wait_timed` telemetry hook. The
-/// only API difference: each participant holds a [`TreeWaiter`] handle
-/// (its leaf assignment plus a local generation counter), obtained once
-/// from [`TreeBarrier::waiter`].
+/// Each participant holds a [`TreeWaiter`] handle (its leaf assignment
+/// plus a local generation counter), obtained once from
+/// [`TreeBarrier::waiter`]. `wait` returns `true` for exactly one
+/// participant per generation (the leader), and `wait_timed` feeds the
+/// P/S/M `S` accumulator and the telemetry `barrier-wait` spans.
 ///
 /// # Memory ordering
 ///
@@ -215,10 +78,10 @@ struct TreeNode {
 ///
 /// ## Why a generation counter instead of a sense bit
 ///
-/// Unlike the flat barrier, releases overlap the next generation's
-/// arrivals: a participant released at its leaf can win the leaf's next
-/// generation and climb to an inner node *before* the root winner's
-/// release wave has reached that inner node. A boolean sense read from
+/// Releases overlap the next generation's arrivals: a participant
+/// released at its leaf can win the leaf's next generation and climb to an
+/// inner node *before* the root winner's release wave has reached that
+/// inner node. A boolean sense read from
 /// the node would then be one generation stale — and generation `g-1`'s
 /// sense equals generation `g+1`'s, so the early climber would sail
 /// through a wait it must block on. A monotone `u64` generation is immune:
@@ -233,18 +96,26 @@ struct TreeNode {
 /// of some node's `release_gen`, which reads the root winner's `Release`
 /// store, which happens-after the winner's parent `fetch_add` via the
 /// `AcqRel` arrival chain — so the reset is visible before any
-/// re-arrival, and a stale count can never double-count (the same
-/// `debug_assert` as the flat barrier guards this). The loom model
-/// `tree_barrier_release_publication` machine-checks both arguments.
+/// re-arrival, and a stale count can never double-count (a `debug_assert`
+/// in `wait` would trip if it did). The loom models
+/// `barrier_generation_reuse` (single node) and
+/// `tree_barrier_release_publication` (two levels) machine-check both
+/// arguments.
 ///
 /// ## Poisoning
 ///
-/// Identical contract to [`SpinBarrier::poison`]: every current and
-/// future waiter drains immediately (returning `false`), the barrier
-/// never recovers, and the Release-poison / Acquire-observe pair
-/// publishes the poisoner's diagnostics. The tree-path extension of the
-/// `barrier_poison_releases_waiters` loom model covers waiters parked at
-/// both leaf and inner nodes.
+/// [`TreeBarrier::poison`] marks the barrier permanently broken. Every
+/// participant currently spinning in `wait` — and every later caller —
+/// returns immediately (with `false`) instead of waiting for stragglers.
+/// This is the drain path used by the kernels' panic containment and the
+/// round-progress watchdog: when one worker dies, the survivors must fall
+/// out of the round loop instead of spinning on a generation that can never
+/// complete. A poisoned barrier never recovers; callers are expected to
+/// check [`TreeBarrier::is_poisoned`] after each `wait` and stop
+/// participating. The Release-poison / Acquire-observe pair publishes the
+/// poisoner's diagnostics. The `barrier_poison_releases_waiters` loom
+/// model covers a waiter parked at a single root node and one parked at a
+/// leaf of a two-level tree.
 pub struct TreeBarrier {
     threads: usize,
     /// Combining fan-in ([`TREE_FAN_IN`] in production; loom models shrink
@@ -338,8 +209,8 @@ impl TreeBarrier {
     /// future waiter (their `wait` returns `false`). Idempotent.
     pub fn poison(&self) {
         // Release: a waiter that observes the poison with Acquire also
-        // observes everything the poisoner wrote before it (failure
-        // diagnostics — same contract as `SpinBarrier::poison`).
+        // observes everything the poisoner wrote before it (e.g. the
+        // failure diagnostics recorded by a panicking worker).
         self.poisoned.store(true, Ordering::Release);
     }
 
@@ -426,106 +297,13 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn single_thread_barrier_is_noop() {
-        let b = SpinBarrier::new(1);
-        assert!(b.wait());
-        assert!(b.wait());
-    }
-
-    #[test]
-    fn orders_phases_across_threads() {
-        const THREADS: usize = 4;
-        const ROUNDS: usize = 200;
-        let barrier = Arc::new(SpinBarrier::new(THREADS));
-        let counter = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                let counter = Arc::clone(&counter);
-                std::thread::spawn(move || {
-                    for round in 0..ROUNDS {
-                        counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        barrier.wait();
-                        // Every thread must observe all increments of this
-                        // round before anyone proceeds.
-                        let seen = counter.load(std::sync::atomic::Ordering::Relaxed);
-                        assert!(seen >= ((round + 1) * THREADS) as u64);
-                        barrier.wait();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(
-            counter.load(std::sync::atomic::Ordering::Relaxed),
-            (THREADS * ROUNDS) as u64
-        );
-    }
-
-    #[test]
-    fn exactly_one_leader_per_generation() {
-        const THREADS: usize = 3;
-        let barrier = Arc::new(SpinBarrier::new(THREADS));
-        let leaders = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                let leaders = Arc::clone(&leaders);
-                std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        if barrier.wait() {
-                            leaders.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(leaders.load(std::sync::atomic::Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn wait_timed_accumulates_and_preserves_leadership() {
-        let b = SpinBarrier::new(1);
-        let mut s = 0u64;
-        // Single participant: every wait leads instantly; the accumulator
-        // only ever grows.
-        assert!(b.wait_timed(&mut s));
-        let after_first = s;
-        assert!(b.wait_timed(&mut s));
-        assert!(s >= after_first);
-    }
-
-    #[test]
-    fn poison_releases_current_and_future_waiters() {
-        let barrier = Arc::new(SpinBarrier::new(2));
-        let waiter = {
-            let barrier = Arc::clone(&barrier);
-            // Only 1 of 2 participants ever arrives: without poison this
-            // thread would spin forever.
-            std::thread::spawn(move || barrier.wait())
-        };
-        // Give the waiter a chance to enter the spin loop, then poison.
-        std::thread::yield_now();
-        barrier.poison();
-        assert!(!waiter.join().unwrap(), "poisoned wait must not lead");
-        assert!(barrier.is_poisoned());
-        // Later arrivals drain immediately as well.
-        assert!(!barrier.wait());
-        assert!(!barrier.wait());
-    }
-
-    #[test]
     fn poison_is_idempotent_and_sticky() {
-        let b = SpinBarrier::new(3);
+        let b = TreeBarrier::new(3);
         b.poison();
         b.poison();
         assert!(b.is_poisoned());
-        assert!(!b.wait());
+        let mut w = b.waiter(0);
+        assert!(!b.wait(&mut w));
     }
 
     #[test]
@@ -650,14 +428,15 @@ mod tests {
     #[test]
     fn zero_spin_limit_always_yields_and_still_works() {
         const THREADS: usize = 2;
-        let barrier = Arc::new(SpinBarrier::with_spin_limit(THREADS, 0));
+        let barrier = Arc::new(TreeBarrier::with_spin_limit(THREADS, 0));
         let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
+            .map(|w| {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
+                    let mut waiter = barrier.waiter(w);
                     let mut leads = 0u32;
                     for _ in 0..50 {
-                        if barrier.wait() {
+                        if barrier.wait(&mut waiter) {
                             leads += 1;
                         }
                     }

@@ -5,8 +5,8 @@
 //! re-exports resolve to the `std` types with zero overhead. Under
 //! `RUSTFLAGS="--cfg loom"` they resolve to the in-repo `loom` model
 //! checker's instrumented equivalents, so `crates/core/tests/loom_models.rs`
-//! can exhaustively explore thread interleavings of [`crate::sync::SpinBarrier`],
-//! the work cursor and the mailbox queue under the C11 memory model
+//! can exhaustively explore thread interleavings of [`crate::sync::TreeBarrier`],
+//! the claim cursor and the mailbox queue under the C11 memory model
 //! approximation (sequentially consistent values + vector-clock
 //! happens-before tracking).
 //!

@@ -191,13 +191,6 @@ pub struct SchedDecision {
     /// Estimates aligned with `order` (`estimates[i]` is the estimate of LP
     /// `order[i]`, in the metric's unit: ns or pending events).
     pub estimates: Vec<u64>,
-    /// Cumulative work-steal claims of this group's claim policy at
-    /// decision time (monotone across decisions; 0 under the shared-cursor
-    /// policy).
-    pub steals: u64,
-    /// Cumulative own-deque claims of this group's claim policy at decision
-    /// time (monotone; 0 under the shared-cursor policy).
-    pub affinity_hits: u64,
 }
 
 /// Everything a run recorded, attached to [`crate::RunReport::telemetry`].
@@ -437,10 +430,7 @@ mod imp {
             self.enabled
         }
 
-        /// Appends one group's decision (capacity-bounded). `steals` and
-        /// `affinity_hits` are the claim policy's cumulative counters for
-        /// the group at decision time.
-        #[allow(clippy::too_many_arguments)]
+        /// Appends one group's decision (capacity-bounded).
         pub fn record(
             &mut self,
             round: u64,
@@ -448,8 +438,6 @@ mod imp {
             metric: &'static str,
             order: Vec<u32>,
             estimates: Vec<u64>,
-            steals: u64,
-            affinity_hits: u64,
         ) {
             if !self.enabled {
                 return;
@@ -461,8 +449,6 @@ mod imp {
                     metric,
                     order,
                     estimates,
-                    steals,
-                    affinity_hits,
                 });
             } else {
                 self.truncated += 1;
@@ -562,7 +548,6 @@ mod imp {
         }
 
         /// No-op.
-        #[allow(clippy::too_many_arguments)]
         pub fn record(
             &mut self,
             _round: u64,
@@ -570,8 +555,6 @@ mod imp {
             _metric: &'static str,
             _order: Vec<u32>,
             _estimates: Vec<u64>,
-            _steals: u64,
-            _affinity_hits: u64,
         ) {
         }
     }
@@ -594,7 +577,7 @@ mod tests {
         tel.span_dur(SpanKind::LpTask, 1, 3, 0, 10, 5, 2);
         tel.edge(0, 1);
         let mut log = ctx.sched_log();
-        log.record(1, 0, "by-last-round-time", vec![0], vec![1], 0, 0);
+        log.record(1, 0, "by-last-round-time", vec![0], vec![1]);
         assert!(ctx.collect(vec![tel], log).is_none());
     }
 
@@ -609,7 +592,7 @@ mod tests {
         tel.edge(1, 9);
         tel.edge(0, 9);
         let mut log = ctx.sched_log();
-        log.record(5, 0, "by-pending-events", vec![1, 0], vec![9, 3], 4, 6);
+        log.record(5, 0, "by-pending-events", vec![1, 0], vec![9, 3]);
         let t = ctx.collect(vec![tel], log).expect("enabled run collects");
         assert_eq!(t.workers.len(), 1);
         assert_eq!(t.workers[0].worker, 2);
@@ -620,8 +603,6 @@ mod tests {
         assert_eq!(t.traffic(), vec![(0, 9, 1), (1, 9, 2)]);
         assert_eq!(t.sched.len(), 1);
         assert_eq!(t.sched[0].order, vec![1, 0]);
-        assert_eq!(t.sched[0].steals, 4);
-        assert_eq!(t.sched[0].affinity_hits, 6);
         assert_eq!(t.sched_truncated, 0);
     }
 
@@ -662,8 +643,8 @@ mod tests {
             tel.span_dur(SpanKind::Process, r, NO_LP, 0, 1, 0, 0);
         }
         let mut log = ctx.sched_log();
-        log.record(1, 0, "none", vec![], vec![], 0, 0);
-        log.record(2, 0, "none", vec![], vec![], 0, 0);
+        log.record(1, 0, "none", vec![], vec![]);
+        log.record(2, 0, "none", vec![], vec![]);
         let t = ctx.collect(vec![tel], log).expect("enabled");
         assert_eq!(t.workers[0].spans.len(), 2);
         assert_eq!(t.workers[0].truncated, 3);

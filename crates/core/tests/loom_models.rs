@@ -7,71 +7,70 @@
 //! ```
 //!
 //! Under `--cfg loom`, [`unison_core::sync_shim`] swaps the std atomics and
-//! spin hints used by `SpinBarrier` and `MpscQueue` for the in-repo loom
+//! spin hints used by `TreeBarrier` and `MpscQueue` for the in-repo loom
 //! model checker's instrumented types, and each test below explores every
 //! thread interleaving (up to the CHESS-style preemption bound, see the
 //! `loom` crate docs). Without the cfg this file compiles to an empty test
 //! harness.
 //!
-//! The models cover the four load-bearing claims of the kernel's
+//! The models cover the load-bearing claims of the kernel's
 //! concurrency-safety contract (see DESIGN.md):
 //!
-//! 1. the sense-reversing barrier is reusable across generations and its
-//!    `Relaxed` count reset cannot double-count arrivals;
+//! 1. the barrier ([`TreeBarrier`] at the single-node shape production
+//!    runs at ≤ 4 threads) is reusable across generations and its
+//!    `Relaxed` arrival reset cannot double-count arrivals;
 //! 2. exactly one participant per generation is told it is the leader;
 //! 3. an atomic work cursor hands each slot index to exactly one claimant,
 //!    so per-slot mutable access is exclusive even with `Relaxed` claims;
 //! 4. the mailbox queue's Release-push / Acquire-drain pair carries a
 //!    happens-before edge from producer writes to consumer reads;
 //! 5. poisoning the barrier releases every current and future waiter — no
-//!    interleaving lets a worker spin past a poisoned generation — and the
-//!    Release-poison / Acquire-observe pair publishes the poisoner's
+//!    interleaving lets a worker spin past a poisoned generation, whether it
+//!    is parked at a single root node or at a leaf of a two-level tree —
+//!    and the Release-poison / Acquire-observe pair publishes the poisoner's
 //!    diagnostics writes (the crash-containment drain path, DESIGN.md §4.2);
 //! 6. the mailbox node pool's take-all/splice-back freelist protocol hands
 //!    each recycled node to at most one claimant — no ABA interleaving of
 //!    racing pooled pushes and a concurrent recycle can double-claim a node
-//!    or lose a message (DESIGN.md §4.4);
-//! 7. the work-stealing deque's per-position `AtomicBool` swap admits
-//!    exactly one winner per position, so an owner and a thief racing over
-//!    the same deque cover the round's task set exactly once
-//!    (DESIGN.md §4.5).
+//!    or lose a message (DESIGN.md §4.4).
 //!
-//! Claims 8–11 back the protocol entries of `crates/core/ATOMICS.toml`
+//! Claims 7–10 back the protocol entries of `crates/core/ATOMICS.toml`
 //! (checked by `cargo xtask atomics`; each entry's `loom` key names the
 //! model covering it). They model the protocol *shapes* with raw shim
 //! atomics — same technique as claim 3 — because the concrete carriers
 //! (`Watchdog`, the kernels' stop flags and channel clocks) are crate-
 //! private runtime plumbing:
 //!
-//! 8. a Release store of a stop/abort flag publishes the stopper's
+//! 7. a Release store of a stop/abort flag publishes the stopper's
 //!    diagnostics writes to every worker that Acquire-observes the flag
 //!    (`RoundCtx::request_stop` → kernel poll sites, `watchdog.stalled`);
-//! 9. the watchdog's `Relaxed` progress word is a pure liveness heuristic —
+//! 8. the watchdog's `Relaxed` progress word is a pure liveness heuristic —
 //!    monotone under concurrent ticks, never used to guard data — while the
 //!    `stalled` Release/Acquire pair carries the stall diagnosis;
-//! 10. a channel clock advanced with `fetch_max(AcqRel)` publishes the
-//!     events appended before the advance to a receiver that Acquire-reads
-//!     a clock value at or past its promise, and concurrent advances keep
-//!     the clock monotone (`nullmsg.chan_clock`);
-//! 11. per-producer clock words stored with Release and min-reduced with
+//! 9. a channel clock advanced with `fetch_max(AcqRel)` publishes the
+//!    events appended before the advance to a receiver that Acquire-reads
+//!    a clock value at or past its promise, and concurrent advances keep
+//!    the clock monotone (`nullmsg.chan_clock`);
+//! 10. per-producer clock words stored with Release and min-reduced with
 //!     Acquire loads publish each producer's state as of the published
 //!     timestamp (`barrier.next_ts` LBTS reduction, `nullmsg.stall_clocks`);
-//! 12. the asynchronous conservative kernel's grant protocol
+//! 11. the asynchronous conservative kernel's grant protocol
 //!     (`async_cons.chan_clock`): each in-channel's sender appends events
 //!     and then raises its promise with `fetch_max(AcqRel)`; the receiver
 //!     Acquire-min-reduces all in-channel clocks into a safe bound *before*
 //!     draining, so every event strictly below the observed bound is
-//!     visible — combining the fetch_max edge of claim 10 with the
-//!     min-reduction of claim 11 (DESIGN.md §4.8).
+//!     visible — combining the fetch_max edge of claim 9 with the
+//!     min-reduction of claim 10 (DESIGN.md §4.8).
 //!
-//! 13. the hierarchical tree barrier ([`TreeBarrier`]) releases a crossing
-//!     only after every participant arrived, elects exactly one root winner
-//!     per generation, carries the happens-before edge from every
-//!     participant's pre-barrier writes to every participant's post-barrier
-//!     reads through the arrival chain + release broadcast, and its
-//!     `Relaxed` per-node arrival reset cannot double-count across
-//!     generations — the monotone `release_gen` clock replacing the flat
-//!     barrier's sense bit (DESIGN.md §4.9);
+//! 12. at the two-level shape (forced with a fan-in of 2), the tree
+//!     barrier releases a crossing only after every participant
+//!     arrived, elects exactly one root winner per generation, carries the
+//!     happens-before edge from every participant's pre-barrier writes to
+//!     every participant's post-barrier reads through the arrival chain +
+//!     release broadcast, and its `Relaxed` per-node arrival reset cannot
+//!     double-count across generations — the monotone `release_gen` clock
+//!     is what keeps an early climber from passing a stale release
+//!     (DESIGN.md §4.9).
 //!
 //! A final, deliberately broken model double-checks the checker: weakening
 //! a publish to `Relaxed` must be reported as a data race.
@@ -83,34 +82,35 @@ use loom::sync::Arc;
 use loom::thread;
 
 use unison_core::queue::MpscQueue;
-use unison_core::sync::{SpinBarrier, TreeBarrier};
+use unison_core::sync::TreeBarrier;
 use unison_core::sync_shim::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use unison_core::{SchedPolicy, StealDeque};
 
 /// Claim 1: generation reuse. Two threads cross the same barrier twice with
 /// plain (non-atomic) data handed back and forth: generation 1 must order
 /// the child's write before the parent's read, generation 2 must order the
-/// parent's read before the child's second write. A stale count from the
-/// `Relaxed` reset would trip the `debug_assert` inside `wait` (active in
-/// test builds) or surface as a deadlock.
+/// parent's read before the child's second write. Two participants make a
+/// single root node, the shape production runs at ≤ 4 threads. A stale
+/// count from the `Relaxed` reset would trip the `debug_assert` inside
+/// `wait` (active in test builds) or surface as a deadlock.
 #[test]
 fn barrier_generation_reuse() {
     loom::model(|| {
-        let bar = Arc::new(SpinBarrier::new(2));
+        let bar = Arc::new(TreeBarrier::new(2));
         let cell = Arc::new(UnsafeCell::new(0u64));
 
         let t = {
             let bar = Arc::clone(&bar);
             let cell = Arc::clone(&cell);
             thread::spawn(move || {
+                let mut w = bar.waiter(1);
                 cell.with_mut(|p| {
                     // SAFETY: the parent only reads this cell after its
                     // generation-1 `wait` returns, which happens-after this
                     // write; loom verifies exactly that.
                     unsafe { *p = 1 }
                 });
-                bar.wait(); // generation 1
-                bar.wait(); // generation 2
+                bar.wait(&mut w); // generation 1
+                bar.wait(&mut w); // generation 2
                 cell.with_mut(|p| {
                     // SAFETY: ordered after the parent's read by the
                     // generation-2 barrier crossing.
@@ -119,14 +119,15 @@ fn barrier_generation_reuse() {
             })
         };
 
-        bar.wait(); // generation 1
+        let mut w = bar.waiter(0);
+        bar.wait(&mut w); // generation 1
         let v = cell.with(|p| {
             // SAFETY: ordered after the child's first write by the
             // generation-1 barrier crossing.
             unsafe { *p }
         });
         assert_eq!(v, 1, "barrier generation 1 did not publish the write");
-        bar.wait(); // generation 2
+        bar.wait(&mut w); // generation 2
         t.join().unwrap();
         let v = cell.with(|p| {
             // SAFETY: ordered after the child's second write by the join.
@@ -137,25 +138,27 @@ fn barrier_generation_reuse() {
 }
 
 /// Claim 2: exactly one `wait` call per generation returns `true`, across
-/// three concurrent participants.
+/// three concurrent participants arriving at a single root node.
 #[test]
 fn barrier_leader_uniqueness() {
     loom::model(|| {
-        let bar = Arc::new(SpinBarrier::new(3));
+        let bar = Arc::new(TreeBarrier::new(3));
         let leaders = Arc::new(AtomicUsize::new(0));
 
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
+        let handles: Vec<_> = (1..3)
+            .map(|id| {
                 let bar = Arc::clone(&bar);
                 let leaders = Arc::clone(&leaders);
                 thread::spawn(move || {
-                    if bar.wait() {
+                    let mut w = bar.waiter(id);
+                    if bar.wait(&mut w) {
                         leaders.fetch_add(1, Ordering::Relaxed);
                     }
                 })
             })
             .collect();
-        if bar.wait() {
+        let mut w = bar.waiter(0);
+        if bar.wait(&mut w) {
             leaders.fetch_add(1, Ordering::Relaxed);
         }
         for h in handles {
@@ -261,17 +264,19 @@ fn mailbox_handoff_happens_before() {
 /// after the poison must drain immediately as well.
 #[test]
 fn barrier_poison_releases_waiters() {
+    // Single-node path: two participants share the root node.
     loom::model(|| {
         // spin_limit 0: every failed check yields, so the model scheduler
         // can always run the poisoner.
-        let bar = Arc::new(SpinBarrier::with_spin_limit(2, 0));
+        let bar = Arc::new(TreeBarrier::with_spin_limit(2, 0));
         let diag = Arc::new(UnsafeCell::new(0u32));
 
         let waiter = {
             let bar = Arc::clone(&bar);
             let diag = Arc::clone(&diag);
             thread::spawn(move || {
-                let led = bar.wait();
+                let mut w = bar.waiter(0);
+                let led = bar.wait(&mut w);
                 assert!(!led, "a poisoned generation must not elect a leader");
                 assert!(bar.is_poisoned(), "wait may only drain via poison here");
                 diag.with(|p| {
@@ -292,14 +297,15 @@ fn barrier_poison_releases_waiters() {
         let v = waiter.join().unwrap();
         assert_eq!(v, 42, "poison did not publish the diagnostics write");
         // A participant arriving after the poison drains immediately too.
-        assert!(!bar.wait());
+        let mut w = bar.waiter(1);
+        assert!(!bar.wait(&mut w));
     });
 
-    // Tree path: same contract on the hierarchical barrier. Fan-in 2 with
-    // 3 participants forces a two-level tree, so the parked waiter spins on
-    // a *leaf* node while the third participant never arrives — poison must
-    // release it (and publish the diagnostics) exactly as on the flat
-    // barrier, and late arrivals must drain.
+    // Two-level path: fan-in 2 with 3 participants forces a two-level
+    // tree, so the parked waiter spins on a *leaf* node while the third
+    // participant never arrives — poison must release it (and publish the
+    // diagnostics) exactly as at a single root node, and late arrivals
+    // must drain.
     loom::model(|| {
         let bar = Arc::new(TreeBarrier::with_shape(3, 2, 0));
         let diag = Arc::new(UnsafeCell::new(0u32));
@@ -334,7 +340,7 @@ fn barrier_poison_releases_waiters() {
     });
 }
 
-/// Claim 13: the tree barrier's release publication. Fan-in 2 with three
+/// Claim 12: the tree barrier's release publication. Fan-in 2 with three
 /// participants forces a two-level tree (two leaves + a root), so the model
 /// exercises the full protocol: the winner chain up (leaf winner's
 /// `fetch_add` at the root), the `Relaxed` arrival reset before the climb,
@@ -477,55 +483,7 @@ fn mailbox_pool_no_aba() {
     });
 }
 
-/// Claim 7: the steal-deque claim protocol. The control thread publishes a
-/// 3-position round to a 2-worker deque (single-threaded prologue, as in
-/// the kernel's exclusive inter-round window), then the owner of slot 0
-/// races a thief on slot 1, both draining until `claim` returns `None`.
-/// The per-position `swap(true, AcqRel)` must admit exactly one winner per
-/// position in every interleaving: a double-claim shows up as a duplicate,
-/// a lost position as a short union. This is the model backing the `unsafe
-/// impl Sync for StealDeque` and the kernel's exactly-once scheduling
-/// contract under work stealing (`crates/core/src/stealdeque.rs`).
-#[test]
-fn steal_deque_claims_each_position_exactly_once() {
-    loom::model(|| {
-        let deque = Arc::new(StealDeque::new(2));
-        // Exclusive prologue: seed the round before any claimant exists.
-        deque.publish(&[0, 1, 2], &[]);
-
-        let thief = {
-            let deque = Arc::clone(&deque);
-            thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(pos) = deque.claim(1) {
-                    got.push(pos);
-                }
-                got
-            })
-        };
-        let mut got = Vec::new();
-        while let Some(pos) = deque.claim(0) {
-            got.push(pos);
-        }
-        got.extend(thief.join().unwrap());
-
-        got.sort_unstable();
-        assert_eq!(
-            got,
-            [0, 1, 2],
-            "each published position must be claimed exactly once"
-        );
-        let stats = deque.stats();
-        assert_eq!(stats.claims, 3, "claim accounting must match the round");
-        assert_eq!(
-            stats.steals + stats.affinity_hits,
-            stats.claims,
-            "every claim is attributed as a steal or an affinity hit"
-        );
-    });
-}
-
-/// Claim 8: stop-flag abort handoff. The containment path writes its
+/// Claim 7: stop-flag abort handoff. The containment path writes its
 /// failure diagnostics first and then raises the flag with a Release store
 /// (`RoundCtx::request_stop`, `watchdog` abort, `nullmsg` stall report); a
 /// worker that Acquire-observes the flag must therefore see the complete
@@ -563,7 +521,7 @@ fn stop_flag_publishes_abort() {
     });
 }
 
-/// Claim 9: watchdog stall protocol. The kernel thread ticks the `Relaxed`
+/// Claim 8: watchdog stall protocol. The kernel thread ticks the `Relaxed`
 /// progress word; the monitor samples it only for equality comparison
 /// (never dereferencing anything guarded by it) and, on declaring a stall,
 /// writes its diagnosis and raises `stalled` with Release. The kernel
@@ -607,7 +565,7 @@ fn watchdog_stall_publication() {
     });
 }
 
-/// Claim 10: channel-clock publication (`nullmsg.chan_clock`). A sender
+/// Claim 9: channel-clock publication (`nullmsg.chan_clock`). A sender
 /// appends an event (plain write) and then advances the channel clock with
 /// `fetch_max(AcqRel)`; a receiver that Acquire-reads a clock value at or
 /// past the sender's promise is guaranteed to see the event. A concurrent
@@ -658,7 +616,7 @@ fn channel_clock_fetch_max_publication() {
     });
 }
 
-/// Claim 11: per-producer clock words min-reduced by a reader (the LBTS
+/// Claim 10: per-producer clock words min-reduced by a reader (the LBTS
 /// reduction over `barrier.next_ts`, and `stall_clocks` snapshots). Each
 /// producer publishes its state with a Release store of its timestamp; the
 /// reader Acquire-loads every word, takes the min, and must then see each
@@ -711,7 +669,7 @@ fn clock_word_release_acquire_publication() {
     });
 }
 
-/// Claim 12: the async-conservative grant protocol
+/// Claim 11: the async-conservative grant protocol
 /// (`async_cons.chan_clock`, DESIGN.md §4.8). Two in-channel senders each
 /// write their event payload (plain memory, standing in for the mailbox
 /// push) and then raise their channel's promise with `fetch_max(AcqRel)`.

@@ -1,12 +1,12 @@
 //! Determinism matrix over the scheduling/partitioning extension points.
 //!
 //! The §5.2 tie-breaking keys make Unison's results independent of *which
-//! worker executes which LP when* — so every (partitioner, sched-policy,
-//! thread-count, sched-metric) combination must produce bit-identical
-//! model state. This suite pins that claim for the pluggable pipeline
-//! partitioners and the work-stealing scheduler: stealing only reorders
-//! execution of a round's fixed task set, and cross-LP sends commit
-//! through the mailbox + tie-break key path.
+//! worker executes which LP when* — so every (partitioner, thread-count,
+//! sched-metric) combination must produce bit-identical model state. This
+//! suite pins that claim for the pluggable pipeline partitioners: the
+//! shared LJF cursor only decides which worker runs each LP of a round's
+//! fixed task set, and cross-LP sends commit through the mailbox +
+//! tie-break key path.
 //!
 //! Digests are compared only *within* one partition: the tie-break key
 //! embeds `sender_lp` and per-LP sequence numbers, so different partitions
@@ -16,7 +16,7 @@
 
 use unison_core::{
     kernel, FusionConfig, KernelKind, NodeId, PartitionMode, PartitionPipeline, Rng, RunConfig,
-    SchedConfig, SchedMetric, SchedPolicyKind, SimCtx, SimNode, Time, WorldBuilder,
+    SchedConfig, SchedMetric, SimCtx, SimNode, Time, WorldBuilder,
 };
 
 /// A token with its own deterministic randomness (the kernels.rs model).
@@ -127,10 +127,10 @@ fn partitioners() -> Vec<(&'static str, PartitionMode)> {
     ]
 }
 
-/// The full matrix: per partitioner, every {policy} × {threads} × {metric}
-/// combination matches that partitioner's single-thread LJF reference.
+/// The full matrix: per partitioner, every {threads} × {metric}
+/// combination matches that partitioner's single-thread reference.
 #[test]
-fn every_policy_thread_metric_combination_is_bit_identical() {
+fn every_thread_metric_combination_is_bit_identical() {
     for (pname, pmode) in partitioners() {
         let reference = run(
             KernelKind::Unison { threads: 1 },
@@ -138,27 +138,21 @@ fn every_policy_thread_metric_combination_is_bit_identical() {
             SchedConfig::default(),
         );
         assert!(reference.1 > 0, "{pname}: reference run executed no events");
-        for policy in [SchedPolicyKind::LjfCursor, SchedPolicyKind::StealDeque] {
-            for threads in [1usize, 2, 4] {
-                for metric in [SchedMetric::ByLastRoundTime, SchedMetric::ByPendingEvents] {
-                    let got = run(
-                        KernelKind::Unison { threads },
-                        pmode.clone(),
-                        SchedConfig {
-                            metric,
-                            period: Some(4),
-                            policy,
-                            ..Default::default()
-                        },
-                    );
-                    assert_eq!(
-                        reference,
-                        got,
-                        "digest mismatch: partitioner={pname} policy={} threads={threads} \
-                         metric={metric:?}",
-                        policy.name(),
-                    );
-                }
+        for threads in [1usize, 2, 4] {
+            for metric in [SchedMetric::ByLastRoundTime, SchedMetric::ByPendingEvents] {
+                let got = run(
+                    KernelKind::Unison { threads },
+                    pmode.clone(),
+                    SchedConfig {
+                        metric,
+                        period: Some(4),
+                        ..Default::default()
+                    },
+                );
+                assert_eq!(
+                    reference, got,
+                    "digest mismatch: partitioner={pname} threads={threads} metric={metric:?}"
+                );
             }
         }
     }
@@ -181,29 +175,30 @@ fn median_cut_pipeline_digest_matches_auto() {
     assert_eq!(auto, pipe);
 }
 
-/// The hybrid kernel builds one policy per host group; stealing stays
-/// within a host and must not perturb results either.
+/// The hybrid kernel builds one claim cursor per host group; the number of
+/// workers per host must not perturb results, and neither does the host
+/// split itself (same partition → same digest as plain Unison).
 #[test]
-fn hybrid_kernel_is_policy_invariant() {
-    let mk = |policy| {
+fn hybrid_kernel_is_thread_invariant() {
+    let sched = SchedConfig {
+        metric: SchedMetric::ByLastRoundTime,
+        period: Some(4),
+        ..Default::default()
+    };
+    let refined = || PartitionMode::Pipeline(PartitionPipeline::refined());
+    let mk = |threads_per_host| {
         run(
             KernelKind::Hybrid {
                 hosts: 2,
-                threads_per_host: 2,
+                threads_per_host,
             },
-            PartitionMode::Pipeline(PartitionPipeline::refined()),
-            SchedConfig {
-                metric: SchedMetric::ByLastRoundTime,
-                period: Some(4),
-                policy,
-                ..Default::default()
-            },
+            refined(),
+            sched,
         )
     };
-    assert_eq!(
-        mk(SchedPolicyKind::LjfCursor),
-        mk(SchedPolicyKind::StealDeque)
-    );
+    let reference = run(KernelKind::Unison { threads: 2 }, refined(), sched);
+    assert_eq!(mk(1), reference);
+    assert_eq!(mk(2), reference);
 }
 
 /// The asynchronous conservative kernel has no rounds to schedule, so its
@@ -257,53 +252,13 @@ fn async_cons_reports_async_stats() {
     assert!(unison.rounds > 0);
 }
 
-/// Work stealing actually happens on this workload (the digest equality
-/// above is vacuous if every claim is an affinity hit), and the report
-/// surfaces the counters.
+/// The report surfaces the claim counters: the shared cursor names
+/// itself, counts its claims and never steals.
 #[test]
-fn steal_deque_reports_scheduler_activity() {
-    let (_, report) = kernel::run(
-        world(),
-        &RunConfig {
-            watchdog: Default::default(),
-            kernel: KernelKind::Unison { threads: 4 },
-            partition: PartitionMode::Pipeline(PartitionPipeline::refined()),
-            sched: SchedConfig {
-                metric: SchedMetric::ByLastRoundTime,
-                period: Some(4),
-                policy: SchedPolicyKind::StealDeque,
-                ..Default::default()
-            },
-            metrics: Default::default(),
-            telemetry: Default::default(),
-            fault: Default::default(),
-        },
-    )
-    .unwrap();
-    assert_eq!(report.sched.policy, "steal-deque");
-    assert!(report.sched.claims > 0, "no claims were attributed");
-    assert_eq!(
-        report.sched.claims,
-        report.sched.steals + report.sched.affinity_hits,
-        "every claim is either a steal or an affinity hit"
-    );
-    // The shared-cursor policy reports zero stealing by construction.
-    let (_, ljf) = kernel::run(
-        world(),
-        &RunConfig {
-            watchdog: Default::default(),
-            kernel: KernelKind::Unison { threads: 4 },
-            partition: PartitionMode::Auto,
-            sched: SchedConfig::default(),
-            metrics: Default::default(),
-            telemetry: Default::default(),
-            fault: Default::default(),
-        },
-    )
-    .unwrap();
+fn ljf_cursor_reports_claims() {
+    let (_, ljf) = kernel::run(world(), &RunConfig::unison(4)).unwrap();
     assert_eq!(ljf.sched.policy, "ljf-cursor");
     assert_eq!(ljf.sched.steals, 0);
-    assert_eq!(ljf.sched.affinity_hits, 0);
     assert!(ljf.sched.claims > 0);
 }
 

@@ -22,7 +22,7 @@ use unison_core::fault::FaultPlan;
 use unison_core::kernel::{KernelKind, PartitionMode, RunConfig};
 use unison_core::partition::PartitionPipeline;
 use unison_core::pin::PinPolicy;
-use unison_core::sched::{FusionConfig, SchedConfig, SchedMetric, SchedPolicyKind};
+use unison_core::sched::{FusionConfig, SchedConfig, SchedMetric};
 use unison_core::{DataRate, RunPhase, Time};
 use unison_topology::{self as topology, NodeKind, TopoLink, Topology};
 use unison_traffic::{FlowSpec, SizeDist, TrafficConfig};
@@ -1172,15 +1172,6 @@ fn parse_run(table: &Table, faults: FaultPlan) -> Result<RunSpec, ScenarioError>
         ],
     )? {
         sched.metric = metric;
-    }
-    if let Some(policy) = k.choice(
-        "sched_policy",
-        &[
-            ("ljf-cursor", SchedPolicyKind::LjfCursor),
-            ("steal-deque", SchedPolicyKind::StealDeque),
-        ],
-    )? {
-        sched.policy = policy;
     }
     if let Some(period) = k.u32("sched_period")? {
         sched.period = Some(period);

@@ -9,7 +9,7 @@ use std::time::Duration;
 use unison_core::kernel::{KernelKind, PartitionMode};
 use unison_core::partition::PartitionPipeline;
 use unison_core::pin::PinPolicy;
-use unison_core::sched::{SchedMetric, SchedPolicyKind};
+use unison_core::sched::SchedMetric;
 use unison_core::Time;
 use unison_scenario::{parse_scenario, QueueSpec, RoutingSpec, ScenarioSpec, TrafficPattern};
 use unison_traffic::SizeDist;
@@ -140,14 +140,13 @@ fn every_partition_variant_maps() {
 fn sched_and_knobs_map() {
     let spec = with_run(
         "kernel = \"unison\"\nthreads = 2\n\
-         sched_metric = \"by-pending-events\"\nsched_policy = \"steal-deque\"\n\
-         sched_period = 4\nfusion_threshold = 64\npin = \"compact\"\n\
+         sched_metric = \"by-pending-events\"\nsched_period = 4\n\
+         fusion_threshold = 64\npin = \"compact\"\n\
          watchdog_ms = 2000\nper_round_metrics = true",
     );
     let topo = spec.build_topology();
     let cfg = spec.run_config(&topo);
     assert_eq!(cfg.sched.metric, SchedMetric::ByPendingEvents);
-    assert_eq!(cfg.sched.policy, SchedPolicyKind::StealDeque);
     assert_eq!(cfg.sched.period, Some(4));
     assert!(cfg.sched.fusion.enabled);
     assert_eq!(cfg.sched.fusion.threshold, 64);
@@ -333,6 +332,10 @@ threads = 2
     // the key, not silently.
     let e = parse_scenario(&format!("{ok}fel = \"binary_heap\"\n")).unwrap_err();
     assert!(e.msg.contains("unknown key `fel`"), "{e}");
+    assert_eq!((e.line, e.col), (11, 1), "{e}");
+    // Work stealing is gone too: the claim-policy key fails the same way.
+    let e = parse_scenario(&format!("{ok}sched_policy = \"steal-deque\"\n")).unwrap_err();
+    assert!(e.msg.contains("unknown key `sched_policy`"), "{e}");
     assert_eq!((e.line, e.col), (11, 1), "{e}");
 }
 

@@ -136,8 +136,6 @@ pub fn chrome_trace_value(tel: &RunTelemetry) -> Value {
                         "estimates",
                         Value::Arr(d.estimates.iter().map(|&e| Value::Num(e as f64)).collect()),
                     ),
-                    ("steals", Value::Num(d.steals as f64)),
-                    ("affinity_hits", Value::Num(d.affinity_hits as f64)),
                 ]),
             ),
         ]));
@@ -258,8 +256,6 @@ mod tests {
                 metric: "by-last-round-time",
                 order: vec![4, 0],
                 estimates: vec![10, 1],
-                steals: 5,
-                affinity_hits: 8,
             }],
             sched_truncated: 0,
         }
@@ -292,8 +288,6 @@ mod tests {
             Some("by-last-round-time")
         );
         assert_eq!(args.get("order").unwrap().as_arr().unwrap().len(), 2);
-        assert_eq!(args.get("steals").and_then(Value::as_num), Some(5.0));
-        assert_eq!(args.get("affinity_hits").and_then(Value::as_num), Some(8.0));
     }
 
     #[test]

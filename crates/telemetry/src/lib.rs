@@ -25,4 +25,4 @@ pub mod timeline;
 
 pub use chrome::{chrome_trace_json, chrome_trace_value, validate_chrome_trace, TraceSummary};
 pub use report::{report_string, write_report};
-pub use timeline::{RoundRegret, StealSummary, Timeline, WorkerWait};
+pub use timeline::{RoundRegret, Timeline, WorkerWait};

@@ -50,32 +50,6 @@ pub struct RoundRegret {
     pub regret: f64,
 }
 
-/// Work-stealing activity reconstructed from the scheduler-decision log.
-///
-/// The kernel logs each group's *cumulative* steal/affinity counters with
-/// every decision, so the latest decision per group carries the totals up
-/// to that point. Both stay 0 under the shared-cursor policy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StealSummary {
-    /// LP claims served from another worker's deque.
-    pub steals: u64,
-    /// LP claims served from the claiming worker's own deque.
-    pub affinity_hits: u64,
-}
-
-impl StealSummary {
-    /// Fraction of attributed claims that hit the owner's deque (0 when
-    /// nothing was attributed).
-    pub fn affinity_hit_rate(&self) -> f64 {
-        let total = self.steals + self.affinity_hits;
-        if total == 0 {
-            0.0
-        } else {
-            self.affinity_hits as f64 / total as f64
-        }
-    }
-}
-
 impl<'a> Timeline<'a> {
     /// Wraps a run's telemetry.
     pub fn new(tel: &'a RunTelemetry) -> Self {
@@ -211,28 +185,6 @@ impl<'a> Timeline<'a> {
         out
     }
 
-    /// Total steal/affinity activity: the latest logged decision of every
-    /// scheduling group carries that group's cumulative counters; this sums
-    /// them across groups. Empty log → all-zero summary.
-    pub fn steal_summary(&self) -> StealSummary {
-        let mut groups: Vec<u32> = self.tel.sched.iter().map(|d| d.group).collect();
-        groups.sort_unstable();
-        groups.dedup();
-        let mut sum = StealSummary::default();
-        for g in groups {
-            // INVARIANT: `g` came from the log, so an rfind over it hits.
-            let last = self
-                .tel
-                .sched
-                .iter()
-                .rfind(|d| d.group == g)
-                .expect("group has a decision");
-            sum.steals += last.steals;
-            sum.affinity_hits += last.affinity_hits;
-        }
-        sum
-    }
-
     /// Merged mailbox traffic matrix `(src_lp, dst_lp, events)`, heaviest
     /// edges first (ties by `(src, dst)` for determinism).
     pub fn traffic_heaviest_first(&self) -> Vec<(u32, u32, u64)> {
@@ -281,8 +233,6 @@ mod tests {
                     metric: "by-last-round-time",
                     order: vec![0, 1],
                     estimates: vec![60, 20],
-                    steals: 2,
-                    affinity_hits: 3,
                 },
                 SchedDecision {
                     round: 3,
@@ -290,8 +240,6 @@ mod tests {
                     metric: "by-last-round-time",
                     order: vec![1, 0],
                     estimates: vec![10, 70],
-                    steals: 7,
-                    affinity_hits: 9,
                 },
             ],
             sched_truncated: 0,
@@ -331,23 +279,6 @@ mod tests {
         // With 1 thread everything serializes: regret stays 1 trivially.
         let serial = Timeline::new(&t).regret_by_round(1);
         assert!((serial[0].regret - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn steal_summary_takes_latest_cumulative_counters() {
-        let t = tel();
-        // Two decisions for group 0; the later one (round 3) carries the
-        // cumulative totals, so the earlier counters must not be added in.
-        let s = Timeline::new(&t).steal_summary();
-        assert_eq!(
-            s,
-            StealSummary {
-                steals: 7,
-                affinity_hits: 9,
-            }
-        );
-        assert!((s.affinity_hit_rate() - 9.0 / 16.0).abs() < 1e-12);
-        assert_eq!(StealSummary::default().affinity_hit_rate(), 0.0);
     }
 
     #[test]

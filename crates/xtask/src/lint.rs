@@ -26,7 +26,7 @@
 //!    Elsewhere in core a line may read the clock only when covered by a
 //!    `// TELEMETRY:` comment naming it a telemetry-gated measurement —
 //!    the reviewed escape hatch for helpers like
-//!    `SpinBarrier::wait_timed`. `SystemTime` has no legitimate use
+//!    `TreeBarrier::wait_timed`. `SystemTime` has no legitimate use
 //!    anywhere in core.
 //! 5. **`deny-unsafe-op`** — any crate whose `src/` contains `unsafe` must
 //!    carry `#![deny(unsafe_op_in_unsafe_fn)]` in its crate root, so
@@ -55,8 +55,7 @@
 //!    paths (`crates/core/src/kernel/`, `crates/core/src/sync.rs`) must be
 //!    wrapped in `CachePadded`, or the line must carry a `// PADDING:`
 //!    comment stating why an unpadded slot cannot false-share (cold path,
-//!    all waiters deliberately share the line, or padding already applied
-//!    at an enclosing level). Borrowed atomics (`&AtomicBool`,
+//!    or padding already applied at an enclosing level). Borrowed atomics (`&AtomicBool`,
 //!    `&'a [AtomicU64]`) are exempt — the padding decision lives at the
 //!    owner's declaration — as are value expressions (`AtomicU64::new(…)`),
 //!    `use` items, and test modules. This pins the false-sharing audit the
@@ -111,14 +110,6 @@ fn unsafe_allowed(rel: &str) -> bool {
         // `crates/core/tests/loom_models.rs`.
         "crates/core/src/queue.rs",
         "crates/core/src/global.rs",
-        // SAFETY: `stealdeque.rs` holds the work-stealing claim state in
-        // `UnsafeCell`s under the kernel's plan-cell discipline: mutated
-        // only in the control thread's exclusive inter-round windows,
-        // shared-read during parallel phases, with per-position `AtomicBool`
-        // swaps arbitrating claims. The protocol is model-checked by
-        // `steal_deque_claims_each_position_exactly_once` in
-        // `crates/core/tests/loom_models.rs`.
-        "crates/core/src/stealdeque.rs",
         // SAFETY: `pin.rs` contains exactly one unsafe block: the raw
         // `sched_setaffinity` syscall (the workspace carries no libc). The
         // asm reads a local mask array and clobbers only the registers the
@@ -483,8 +474,7 @@ pub fn lint_file(rel: &str, src: &str) -> Vec<Finding> {
                             "unpadded `{}` declared in kernel hot-path code: wrap it in \
                              `CachePadded` to prevent false sharing, or add a \
                              `// PADDING:` comment stating why an unpadded slot is safe \
-                             (cold path, deliberately shared line, or padded at an \
-                             enclosing level)",
+                             (cold path, or padded at an enclosing level)",
                             t.text
                         ),
                     });
